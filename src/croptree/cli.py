@@ -22,7 +22,8 @@ from .dataset import (Dataset, count_by_type_region, dataset_from_pairs,
 from .errors import DataError
 from .evaluation import INDICATOR_ROWS, ComparisonTable, compare
 from .model_io import load_model, save_model
-from .trees import ALGORITHMS, TrainParams, predict, train, tree_size
+from .trees import (ALGORITHMS, PARAM_FIELDS, TrainParams, predict, train,
+                    tree_size)
 
 _POLICIES = {
     "zerofill": MissingPolicy.ZERO_FILL,
@@ -78,7 +79,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--algorithm", choices=ALGORITHMS, required=True)
     p.add_argument("--min-leaf", type=int, default=2)
     p.add_argument("--confidence-factor", type=float, default=0.25)
-    p.add_argument("--no-prune", action="store_true",
+    p.add_argument("--no-prune", dest="prune", action="store_false",
                    help="skip pessimistic pruning (gainratio only)")
     p.add_argument("--k", type=_k_flag, default=None,
                    help="attribute subset size for randomsubset (default auto)")
@@ -166,8 +167,16 @@ def _load_dataset(path: str, policy: MissingPolicy) -> Dataset:
         raise DataError(f"{path}: {exc}") from None
 
 
+def _csv_field(text: str) -> str:
+    """Station or region text as one CSV field, quoted per RFC 4180 if it
+    holds a quote or CR (the parser splits rows on commas and LFs)."""
+    if '"' in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _render_count_table(table: CountTable) -> str:
-    lines = ["climate_class," + ",".join(table.regions) + ",total"]
+    lines = ["climate_class," + ",".join(map(_csv_field, table.regions)) + ",total"]
     for cls, row, total in zip(table.classes, table.counts, table.class_totals):
         lines.append(f"{cls}," + ",".join(str(c) for c in row) + f",{total}")
     lines.append("total," + ",".join(str(t) for t in table.region_totals)
@@ -210,28 +219,18 @@ def _cmd_oldeman(args) -> int:
     lines = ["station,region,year,climate_class,cropping_pattern"]
     for rec, climate in pairs:
         pattern = cropping_pattern(climate, b3)
-        lines.append(f"{rec.station_id},{rec.region},{rec.year},"
-                     f'{climate.label},"{pattern.display}"')
+        lines.append(f"{_csv_field(rec.station_id)},{_csv_field(rec.region)},"
+                     f'{rec.year},{climate.label},"{pattern.display}"')
     _atomic_write(args.output, "\n".join(lines) + "\n")
     dataset = dataset_from_pairs([(rec, c.label) for rec, c in pairs])
     sys.stdout.write(_render_count_table(count_by_type_region(dataset)))
     return 0
 
 
-def _build_params(args) -> TrainParams:
-    if args.algorithm == "gainratio":
-        return TrainParams("gainratio", min_leaf=args.min_leaf,
-                           confidence_factor=args.confidence_factor,
-                           prune=not args.no_prune, seed=args.seed)
-    if args.algorithm == "randomsubset":
-        return TrainParams("randomsubset", k=args.k, seed=args.seed)
-    return TrainParams("reducederror", min_leaf=args.min_leaf,
-                       prune_folds=args.prune_folds, seed=args.seed)
-
-
 def _cmd_train(args) -> int:
     dataset = _load_dataset(args.input, _POLICIES[args.missing_policy])
-    params = _build_params(args)
+    params = TrainParams(args.algorithm, **{
+        name: getattr(args, name) for name in PARAM_FIELDS[args.algorithm]})
     model = train(dataset, params)
     _atomic_write_bytes(args.output, save_model(model))
     correct = sum(predict(model, inst.features).predicted_class == inst.label
@@ -245,14 +244,11 @@ def _cmd_compare(args) -> int:
     names = [name.strip() for name in args.algorithms.split(",") if name.strip()]
     if not names:
         raise ValueError("no algorithms requested")
-    for name in names:
-        if name not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {name!r}")
+    learners = [TrainParams(name, seed=args.seed) for name in names]
     if not args.resubstitution and args.cv < 2:
         raise ValueError("cross-validation needs at least 2 folds")
     dataset = _load_dataset(args.input, _POLICIES[args.missing_policy])
-    table = compare([TrainParams(name, seed=args.seed) for name in names],
-                    dataset, k=args.cv, seed=args.seed,
+    table = compare(learners, dataset, k=args.cv, seed=args.seed,
                     resubstitution=args.resubstitution)
     _emit(_render_comparison(table), args.output)
     return 0
@@ -284,7 +280,7 @@ def _cmd_recommend(args) -> int:
         prediction = predict(model, rec.rainfall)
         pattern = pattern_for_label(prediction.predicted_class, b3)
         status = "complete" if rec.complete else "incomplete"
-        lines.append(f"{rec.station_id},{rec.region},"
+        lines.append(f"{_csv_field(rec.station_id)},{_csv_field(rec.region)},"
                      f'{prediction.predicted_class},"{pattern.display}",{status}')
         if labeled and prediction.predicted_class == gold:
             correct += 1

@@ -26,8 +26,8 @@ from typing import List, Sequence, Tuple, Union
 
 from .dataset import format_number
 from .errors import ModelFormatError
-from .trees import (ALGORITHMS, DecisionTree, Internal, Leaf, Node,
-                    TrainParams)
+from .trees import (ALGORITHMS, PARAM_FIELDS, DecisionTree, Internal, Leaf,
+                    Node, TrainParams)
 
 FORMAT_VERSION = 1
 
@@ -41,17 +41,17 @@ _LEAF_RE = re.compile(
 
 
 def _params_text(params: TrainParams, n_attributes: int) -> str:
-    if params.algorithm == "gainratio":
-        fields = [("min_leaf", str(params.min_leaf)),
-                  ("confidence_factor", format_number(params.confidence_factor)),
-                  ("prune", "true" if params.prune else "false")]
-    elif params.algorithm == "randomsubset":
-        fields = [("k", str(params.resolved_k(n_attributes)))]
-    else:
-        fields = [("min_leaf", str(params.min_leaf)),
-                  ("prune_folds", str(params.prune_folds))]
-    fields.append(("seed", str(params.seed)))
-    return " ".join(f"{k}={v}" for k, v in fields)
+    fields = []
+    for name in PARAM_FIELDS[params.algorithm]:
+        value = getattr(params, name)
+        if name == "k":
+            value = params.resolved_k(n_attributes)
+        elif name == "prune":
+            value = "true" if value else "false"
+        elif name == "confidence_factor":
+            value = format_number(value)
+        fields.append(f"{name}={value}")
+    return " ".join(fields)
 
 
 def _leaf_errors(counts: Sequence[float], weight: float) -> float:
@@ -226,12 +226,16 @@ def load_model(data: Union[bytes, str]) -> DecisionTree:
     return DecisionTree(root, attribute_names, class_domain, params)
 
 
+def _param_value(name: str, text: str):
+    if name == "prune":
+        if text not in ("true", "false"):
+            raise ValueError(f"bad prune flag {text!r}")
+        return text == "true"
+    return float(text) if name == "confidence_factor" else int(text)
+
+
 def _parse_params(text: str, algorithm: str, lineno: int) -> TrainParams:
-    expected = {
-        "gainratio": ("min_leaf", "confidence_factor", "prune", "seed"),
-        "randomsubset": ("k", "seed"),
-        "reducederror": ("min_leaf", "prune_folds", "seed"),
-    }[algorithm]
+    expected = PARAM_FIELDS[algorithm]
     values = {}
     tokens = text.split(" ") if text else []
     if len(tokens) != len(expected):
@@ -242,20 +246,7 @@ def _parse_params(text: str, algorithm: str, lineno: int) -> TrainParams:
             raise ModelFormatError(lineno, f"expected param {key!r}, got {token!r}")
         values[key] = value
     try:
-        if algorithm == "gainratio":
-            if values["prune"] not in ("true", "false"):
-                raise ValueError(f"bad prune flag {values['prune']!r}")
-            return TrainParams("gainratio",
-                               min_leaf=int(values["min_leaf"]),
-                               confidence_factor=float(values["confidence_factor"]),
-                               prune=values["prune"] == "true",
-                               seed=int(values["seed"]))
-        if algorithm == "randomsubset":
-            return TrainParams("randomsubset", k=int(values["k"]),
-                               seed=int(values["seed"]))
-        return TrainParams("reducederror",
-                           min_leaf=int(values["min_leaf"]),
-                           prune_folds=int(values["prune_folds"]),
-                           seed=int(values["seed"]))
+        return TrainParams(algorithm, **{name: _param_value(name, value)
+                                         for name, value in values.items()})
     except ValueError as exc:
         raise ModelFormatError(lineno, f"bad params: {exc}") from None

@@ -13,6 +13,10 @@ leaf carries the per-class training weight it received.
 * ``reducederror`` grows on part of the data by information gain and
   prunes bottom-up against the held-out remainder.
 
+The learners share one split kernel and one non-recursive grower
+(``_grow``).  They differ only in the grower's two hooks, which
+attributes a node scores and how it picks the split, and in the pruner.
+
 Missing attribute values are distributed fractionally across both
 branches while training and routed to the heavier branch while
 predicting, so every input receives a definite class.
@@ -25,11 +29,12 @@ randomness flows from streams derived from ``params.seed``.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from scipy.special import betaincinv
 
@@ -39,7 +44,14 @@ from .dataset import Dataset
 #: band count as tied and the earlier candidate in pinned order wins.
 EPS = 1e-12
 
-ALGORITHMS = ("gainratio", "randomsubset", "reducederror")
+#: Each learner's parameters, in the order model files list them.
+PARAM_FIELDS = {
+    "gainratio": ("min_leaf", "confidence_factor", "prune", "seed"),
+    "randomsubset": ("k", "seed"),
+    "reducederror": ("min_leaf", "prune_folds", "seed"),
+}
+
+ALGORITHMS = tuple(PARAM_FIELDS)
 
 _log2 = math.log2
 
@@ -159,63 +171,43 @@ def entropy(class_counts: Sequence[float]) -> float:
     return h
 
 
-def split_candidates(dataset: Dataset, attribute_index: int) -> List[float]:
-    """Midpoints between consecutive distinct non-missing values.
-
-    Empty when the attribute has fewer than two distinct values.
-    """
-    values = sorted({inst.features[attribute_index]
-                     for inst in dataset.instances
-                     if inst.features[attribute_index] is not None})
-    return [(a + b) / 2.0 for a, b in zip(values, values[1:])]
-
-
 def _dataset_rows(dataset: Dataset):
     index = {c: i for i, c in enumerate(dataset.class_domain)}
     return [(inst.features, index[inst.label], inst.weight)
             for inst in dataset.instances]
 
 
-def _split_weights_and_counts(rows, n_classes: int, attr: int, threshold: float):
-    """Branch weights and class counts with fractional missing handling."""
-    left = [0.0] * n_classes
-    right = [0.0] * n_classes
-    miss = [0.0] * n_classes
-    lw = rw = mw = 0.0
-    for feats, cls, w in rows:
-        v = feats[attr]
-        if v is None:
-            miss[cls] += w
-            mw += w
-        elif v <= threshold:
-            left[cls] += w
-            lw += w
-        else:
-            right[cls] += w
-            rw += w
-    if lw <= 0.0 or rw <= 0.0:
+def _dataset_candidates(dataset: Dataset, attribute_index: int):
+    """Every threshold of one attribute over the whole dataset, unfiltered."""
+    _best, cands = _attribute_candidates(
+        _dataset_rows(dataset), attribute_index, len(dataset.class_domain), 0)
+    return cands
+
+
+def split_candidates(dataset: Dataset, attribute_index: int) -> List[float]:
+    """Midpoints between consecutive distinct non-missing values.
+
+    Empty when the attribute has fewer than two distinct values.
+    """
+    return [t for t, _gain, _ratio in _dataset_candidates(dataset, attribute_index)]
+
+
+def _split_at(dataset: Dataset, attribute_index: int, threshold: float):
+    """(gain, ratio) of the candidate that partitions like ``threshold``."""
+    values = sorted({inst.features[attribute_index]
+                     for inst in dataset.instances
+                     if inst.features[attribute_index] is not None})
+    i = bisect.bisect_right(values, threshold)
+    if i == 0 or i == len(values):
         raise UndefinedSplitError(
-            f"threshold {threshold} puts all weight on one side of attribute {attr}")
-    if mw > 0.0:
-        frac = lw / (lw + rw)
-        for c in range(n_classes):
-            left[c] += miss[c] * frac
-            right[c] += miss[c] * (1.0 - frac)
-        lw += mw * frac
-        rw += mw * (1.0 - frac)
-    return left, right, lw, rw
+            f"threshold {threshold} puts all weight on one side of "
+            f"attribute {attribute_index}")
+    return _dataset_candidates(dataset, attribute_index)[i - 1][1:]
 
 
 def info_gain(dataset: Dataset, attribute_index: int, threshold: float) -> float:
     """Entropy reduction of a binary split; missing values weighted in."""
-    n_classes = len(dataset.class_domain)
-    rows = _dataset_rows(dataset)
-    left, right, lw, rw = _split_weights_and_counts(
-        rows, n_classes, attribute_index, threshold)
-    parent = [a + b for a, b in zip(left, right)]
-    total = lw + rw
-    gain = entropy(parent) - (lw * entropy(left) + rw * entropy(right)) / total
-    return max(gain, 0.0)
+    return _split_at(dataset, attribute_index, threshold)[0]
 
 
 def gain_ratio(dataset: Dataset, attribute_index: int, threshold: float) -> float:
@@ -224,17 +216,7 @@ def gain_ratio(dataset: Dataset, attribute_index: int, threshold: float) -> floa
     Raises UndefinedSplitError when the split information is zero (the
     candidate must then be skipped, not treated as ratio 0).
     """
-    n_classes = len(dataset.class_domain)
-    rows = _dataset_rows(dataset)
-    left, right, lw, rw = _split_weights_and_counts(
-        rows, n_classes, attribute_index, threshold)
-    parent = [a + b for a, b in zip(left, right)]
-    total = lw + rw
-    gain = max(entropy(parent) - (lw * entropy(left) + rw * entropy(right)) / total, 0.0)
-    split_info = entropy([lw, rw])
-    if split_info <= 0.0:
-        raise UndefinedSplitError("split information is zero")
-    return gain / split_info
+    return _split_at(dataset, attribute_index, threshold)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -358,49 +340,50 @@ def _partition(rows, attr: int, threshold: float):
     return left, right
 
 
-def _first_admissible(evals) -> Optional[Tuple[int, float]]:
-    for a, (_gain, cands) in enumerate(evals):
-        if cands:
-            return a, cands[0][0]
-    return None
+def _score_all(n_attrs: int, n_classes: int, min_leaf: int):
+    def score(rows, _path):
+        return [_attribute_candidates(rows, a, n_classes, min_leaf)
+                for a in range(n_attrs)]
+    return score
 
 
-def _grow_gain_ratio(rows, n_attrs: int, n_classes: int, min_leaf: int) -> Node:
-    counts = _class_counts(rows, n_classes)
-    if _is_pure(counts):
-        return Leaf(tuple(counts))
-    evals = [_attribute_candidates(rows, a, n_classes, min_leaf)
-             for a in range(n_attrs)]
+def _score_random_subset(n_attrs: int, n_classes: int, k: int, seed: int):
+    def score(rows, path):
+        # The node-local stream depends only on (seed, position in the tree),
+        # so sibling subtrees are independent of evaluation order.
+        order = list(range(n_attrs))
+        random.Random(f"{seed}:{path}").shuffle(order)
+        evals = [(0.0, [])] * n_attrs
+        found = False
+        for j, a in enumerate(order):
+            if j >= k and found:
+                break
+            evals[a] = _attribute_candidates(rows, a, n_classes, 1)
+            if evals[a][0] > EPS:
+                found = True
+        return evals
+    return score
+
+
+def _choose_by_gain_ratio(evals) -> Optional[Tuple[int, float]]:
+    """Best gain ratio among attributes whose gain reaches the mean."""
     positive = [g for g, _cands in evals if g > EPS]
+    if not positive:
+        return None
+    floor = sum(positive) / len(positive) - EPS
+    best_ratio = 0.0
     choice = None
-    if positive:
-        floor = sum(positive) / len(positive) - EPS
-        best_ratio = 0.0
-        for a, (g, cands) in enumerate(evals):
-            if g > EPS and g >= floor:
-                for threshold, _gain, ratio in cands:
-                    if ratio > best_ratio + EPS:
-                        best_ratio = ratio
-                        choice = (a, threshold)
-    if choice is None:
-        # No informative split; still separate the node so consistent
-        # data always trains to purity.
-        choice = _first_admissible(evals)
-    if choice is None:
-        return Leaf(tuple(counts))
-    attr, threshold = choice
-    left_rows, right_rows = _partition(rows, attr, threshold)
-    return Internal(attr, threshold,
-                    _grow_gain_ratio(left_rows, n_attrs, n_classes, min_leaf),
-                    _grow_gain_ratio(right_rows, n_attrs, n_classes, min_leaf))
+    for a, (g, cands) in enumerate(evals):
+        if g > EPS and g >= floor:
+            for threshold, _gain, ratio in cands:
+                if ratio > best_ratio + EPS:
+                    best_ratio = ratio
+                    choice = (a, threshold)
+    return choice
 
 
-def _grow_max_gain(rows, n_attrs: int, n_classes: int, min_leaf: int) -> Node:
-    counts = _class_counts(rows, n_classes)
-    if _is_pure(counts):
-        return Leaf(tuple(counts))
-    evals = [_attribute_candidates(rows, a, n_classes, min_leaf)
-             for a in range(n_attrs)]
+def _choose_by_gain(evals) -> Optional[Tuple[int, float]]:
+    """Best information gain over every scored candidate."""
     best_gain = 0.0
     choice = None
     for a, (_g, cands) in enumerate(evals):
@@ -408,59 +391,49 @@ def _grow_max_gain(rows, n_attrs: int, n_classes: int, min_leaf: int) -> Node:
             if gain > best_gain + EPS:
                 best_gain = gain
                 choice = (a, threshold)
-    if choice is None:
-        choice = _first_admissible(evals)
-    if choice is None:
-        return Leaf(tuple(counts))
-    attr, threshold = choice
-    left_rows, right_rows = _partition(rows, attr, threshold)
-    return Internal(attr, threshold,
-                    _grow_max_gain(left_rows, n_attrs, n_classes, min_leaf),
-                    _grow_max_gain(right_rows, n_attrs, n_classes, min_leaf))
+    return choice
 
 
-def _grow_random_subset(rows, n_attrs: int, n_classes: int, k: int,
-                        seed: int, path: str) -> Node:
-    counts = _class_counts(rows, n_classes)
-    if _is_pure(counts):
-        return Leaf(tuple(counts))
-    # The node-local stream depends only on (seed, position in the tree),
-    # so sibling subtrees are independent of evaluation order.
-    rng = random.Random(f"{seed}:{path}")
-    order = list(range(n_attrs))
-    rng.shuffle(order)
-    evals: Dict[int, tuple] = {}
-    found = False
-    for j, a in enumerate(order):
-        if j >= k and found:
-            break
-        g, cands = _attribute_candidates(rows, a, n_classes, 1)
-        evals[a] = (g, cands)
-        if g > EPS:
-            found = True
-    best_gain = 0.0
-    choice = None
-    for a in sorted(evals):
-        _g, cands = evals[a]
-        for threshold, gain, _ratio in cands:
-            if gain > best_gain + EPS:
-                best_gain = gain
-                choice = (a, threshold)
-    if choice is None:
-        for a in sorted(evals):
-            cands = evals[a][1]
-            if cands:
-                choice = (a, cands[0][0])
-                break
-    if choice is None:
-        return Leaf(tuple(counts))
-    attr, threshold = choice
-    left_rows, right_rows = _partition(rows, attr, threshold)
-    return Internal(attr, threshold,
-                    _grow_random_subset(left_rows, n_attrs, n_classes, k,
-                                        seed, path + "L"),
-                    _grow_random_subset(right_rows, n_attrs, n_classes, k,
-                                        seed, path + "R"))
+def _grow(rows, n_classes: int, score, choose) -> Node:
+    """Grow a tree depth-first over an explicit work stack.
+
+    ``score(rows, path)`` gives each attribute's (best_gain, candidates),
+    (0.0, []) if unexamined; ``path`` is the node's L/R steps from the
+    root.  ``choose(evals)`` picks the (attribute, threshold) or None.
+    The stack holds node tasks (rows, path) and join markers (None, split).
+    """
+    finished: List[Node] = []
+    stack = [(rows, "")]
+    while stack:
+        rows, item = stack.pop()
+        if rows is None:
+            left, right = finished[-2:]
+            finished[-2:] = [Internal(item[0], item[1], left, right)]
+            continue
+        counts = _class_counts(rows, n_classes)
+        choice = None
+        if not _is_pure(counts):
+            evals = score(rows, item)
+            choice = choose(evals)
+            if choice is None:
+                # No informative split; still separate the node so
+                # consistent data always trains to purity.
+                choice = next(((a, cands[0][0])
+                               for a, (_g, cands) in enumerate(evals) if cands),
+                              None)
+        if choice is None:
+            finished.append(Leaf(tuple(counts)))
+            continue
+        left_rows, right_rows = _partition(rows, *choice)
+        stack.append((None, choice))
+        stack.append((right_rows, item + "R"))
+        stack.append((left_rows, item + "L"))
+    return finished[0]
+
+
+def _grow_max_gain(rows, n_attrs: int, n_classes: int, min_leaf: int) -> Node:
+    return _grow(rows, n_classes, _score_all(n_attrs, n_classes, min_leaf),
+                 _choose_by_gain)
 
 
 def _upper_error_estimate(counts, confidence_factor: float) -> float:
@@ -481,24 +454,18 @@ def _upper_error_estimate(counts, confidence_factor: float) -> float:
     return n * float(betaincinv(e + 1.0, n - e, 1.0 - confidence_factor))
 
 
-def _subtree_error_estimate(node: Node, confidence_factor: float) -> float:
+def _pessimistic_prune(node: Node, confidence_factor: float):
+    """Subtree replacement; returns (node, its pessimistic error count)."""
     if isinstance(node, Leaf):
-        return _upper_error_estimate(node.counts, confidence_factor)
-    return (_subtree_error_estimate(node.left, confidence_factor)
-            + _subtree_error_estimate(node.right, confidence_factor))
-
-
-def _pessimistic_prune(node: Node, confidence_factor: float) -> Node:
-    if isinstance(node, Leaf):
-        return node
-    left = _pessimistic_prune(node.left, confidence_factor)
-    right = _pessimistic_prune(node.right, confidence_factor)
+        return node, _upper_error_estimate(node.counts, confidence_factor)
+    left, est_left = _pessimistic_prune(node.left, confidence_factor)
+    right, est_right = _pessimistic_prune(node.right, confidence_factor)
     if left is not node.left or right is not node.right:
         node = Internal(node.attribute, node.threshold, left, right)
     leaf_estimate = _upper_error_estimate(node.counts, confidence_factor)
-    if leaf_estimate <= _subtree_error_estimate(node, confidence_factor) + 1e-9:
-        return Leaf(node.counts)
-    return node
+    if leaf_estimate <= est_left + est_right + 1e-9:
+        return Leaf(node.counts), leaf_estimate
+    return node, est_left + est_right
 
 
 def _holdout_errors(predicted_index: int, hold_rows) -> float:
@@ -559,15 +526,19 @@ def train(dataset: Dataset, params: TrainParams) -> DecisionTree:
     n_classes = len(dataset.class_domain)
     rows = _dataset_rows(dataset)
     if params.algorithm == "gainratio":
-        root = _grow_gain_ratio(rows, n_attrs, n_classes, params.min_leaf)
+        root = _grow(rows, n_classes,
+                     _score_all(n_attrs, n_classes, params.min_leaf),
+                     _choose_by_gain_ratio)
         if params.prune:
-            root = _pessimistic_prune(root, params.confidence_factor)
+            root, _estimate = _pessimistic_prune(root, params.confidence_factor)
     elif params.algorithm == "randomsubset":
         k = params.resolved_k(n_attrs)
         if k > n_attrs:
             raise ValueError(
                 f"k={k} exceeds the {n_attrs} available attributes")
-        root = _grow_random_subset(rows, n_attrs, n_classes, k, params.seed, "")
+        root = _grow(rows, n_classes,
+                     _score_random_subset(n_attrs, n_classes, k, params.seed),
+                     _choose_by_gain)
     else:
         root = _train_reduced_error(rows, n_attrs, n_classes, params)
     return DecisionTree(root, tuple(dataset.attribute_names),

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 
 from croptree import (StationYear, pattern_for_label,
@@ -135,6 +138,54 @@ class TestTrain:
         assert main(["train", rain_csv, "-o", str(model_b),
                      "--algorithm", "gainratio"]) == 0
         assert model_a.read_bytes() == model_b.read_bytes()
+
+    def test_no_prune_flag_trains_unpruned_gainratio(self, tmp_path, rain_csv):
+        out = tmp_path / "model.txt"
+        assert main(["train", rain_csv, "-o", str(out), "--algorithm",
+                     "gainratio", "--no-prune"]) == 0
+        params = out.read_text(encoding="utf-8").splitlines()[4]
+        assert params == "params: min_leaf=2 confidence_factor=0.25 prune=false seed=1"
+
+
+def _csv_rows(path):
+    # read_text() would turn a quoted carriage return into a line feed
+    return list(csv.reader(io.StringIO(path.read_bytes().decode("utf-8"))))
+
+
+class TestCsvQuoting:
+    STATION = '"Halim'
+    REGION = 'Jakarta "Raya"'
+
+    @pytest.fixture()
+    def quoted_csv(self, tmp_path):
+        records = [StationYear(self.STATION, self.REGION, 2013, (250.0,) * 12),
+                   StationYear("Plain", "R", 2013, (50.0,) * 12),
+                   StationYear("Line\rBreak", "R", 2013, (50.0,) * 12)]
+        path = tmp_path / "quoted.csv"
+        path.write_text(write_rainfall_file(records), encoding="utf-8")
+        return str(path)
+
+    def test_oldeman_rows_and_count_header(self, tmp_path, quoted_csv, capsys):
+        out = tmp_path / "labels.csv"
+        assert main(["oldeman", quoted_csv, "-o", str(out)]) == 0
+        rows = _csv_rows(out)
+        assert rows[1][:3] == [self.STATION, self.REGION, "2013"]
+        assert len(rows[1]) == 5
+        assert [row[0] for row in rows[2:]] == ["Plain", "Line\rBreak"]
+        counts = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert counts[0] == ["climate_class", self.REGION, "R", "total"]
+
+    def test_recommend_rows(self, tmp_path, rain_csv, quoted_csv):
+        model = tmp_path / "model.txt"
+        assert main(["train", rain_csv, "-o", str(model),
+                     "--algorithm", "gainratio"]) == 0
+        out = tmp_path / "recs.csv"
+        assert main(["recommend", str(model), quoted_csv, "-o", str(out)]) == 0
+        rows = _csv_rows(out)
+        assert rows[1][:2] == [self.STATION, self.REGION]
+        assert len(rows[1]) == 5
+        assert rows[2][:2] == ["Plain", "R"]
+        assert rows[3][:2] == ["Line\rBreak", "R"]
 
 
 class TestCompare:
