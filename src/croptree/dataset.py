@@ -245,16 +245,7 @@ def label_dataset(
     labeled = label_records(records, policy)
     if not labeled:
         raise DataError("all stations were skipped by the missing-data policy")
-    instances = tuple(
-        LabeledInstance(
-            features=rec.rainfall,
-            label=climate.label,
-            weight=1.0,
-            provenance_id=f"{rec.station_id}:{rec.year}",
-            region=rec.region,
-        )
-        for rec, climate in labeled)
-    return Dataset(MONTH_NAMES, CLASS_DOMAIN, instances)
+    return dataset_from_pairs([(rec, climate.label) for rec, climate in labeled])
 
 
 def dataset_from_pairs(pairs: Sequence[Tuple[StationYear, str]]) -> Dataset:

@@ -117,15 +117,16 @@ class EvaluationReport:
     confusion: ConfusionMatrix
 
 
-def _score(model: DecisionTree, instances, class_domain) -> EvaluationReport:
-    index = {c: i for i, c in enumerate(class_domain)}
-    predictions = [predict(model, inst.features) for inst in instances]
-    actuals = [index[inst.label] for inst in instances]
+def _score(predictions: Sequence[Prediction], dataset: Dataset,
+           size: int) -> EvaluationReport:
+    """The report for one prediction per instance of ``dataset``."""
+    index = {c: i for i, c in enumerate(dataset.class_domain)}
+    actuals = [index[inst.label] for inst in dataset.instances]
     pairs = [(a, index[p.predicted_class]) for a, p in zip(actuals, predictions)]
-    confusion = ConfusionMatrix.from_pairs(class_domain, pairs)
+    confusion = ConfusionMatrix.from_pairs(dataset.class_domain, pairs)
     mae, rmse = probabilistic_errors(predictions, actuals)
     return EvaluationReport(accuracy(confusion), kappa(confusion), mae, rmse,
-                            tree_size(model), confusion)
+                            size, confusion)
 
 
 def evaluate_holdout(model: DecisionTree, test: Dataset) -> EvaluationReport:
@@ -136,7 +137,8 @@ def evaluate_holdout(model: DecisionTree, test: Dataset) -> EvaluationReport:
         raise ValueError("model and test attribute lists differ")
     if not test.instances:
         raise ValueError("test dataset is empty")
-    return _score(model, test.instances, test.class_domain)
+    predictions = [predict(model, inst.features) for inst in test.instances]
+    return _score(predictions, test, tree_size(model))
 
 
 def cross_validate(dataset: Dataset, params: TrainParams, k: int,
@@ -148,9 +150,7 @@ def cross_validate(dataset: Dataset, params: TrainParams, k: int,
     reported tree size comes from a final model trained on all the data.
     """
     folds = stratified_folds(dataset, k, seed)
-    index = {c: i for i, c in enumerate(dataset.class_domain)}
-    n = len(dataset.instances)
-    predictions: List[Optional[Prediction]] = [None] * n
+    predictions: List[Optional[Prediction]] = [None] * len(dataset.instances)
     for fold_no, fold in enumerate(folds):
         held = set(fold)
         train_instances = tuple(inst for i, inst in enumerate(dataset.instances)
@@ -160,13 +160,7 @@ def cross_validate(dataset: Dataset, params: TrainParams, k: int,
                               train_instances), fold_params)
         for i in fold:
             predictions[i] = predict(model, dataset.instances[i].features)
-    actuals = [index[inst.label] for inst in dataset.instances]
-    pairs = [(a, index[p.predicted_class]) for a, p in zip(actuals, predictions)]
-    confusion = ConfusionMatrix.from_pairs(dataset.class_domain, pairs)
-    mae, rmse = probabilistic_errors(predictions, actuals)
-    final_model = train(dataset, params)
-    return EvaluationReport(accuracy(confusion), kappa(confusion), mae, rmse,
-                            tree_size(final_model), confusion)
+    return _score(predictions, dataset, tree_size(train(dataset, params)))
 
 
 @dataclass(frozen=True)
@@ -186,12 +180,11 @@ def compare(algorithms: Sequence[TrainParams], train_data: Dataset,
     scored on the test set; otherwise stratified k-fold cross-validation
     is used (or plain resubstitution when requested).
     """
+    scored = test if test is not None else (train_data if resubstitution else None)
     reports = []
     for params in algorithms:
-        if test is not None:
-            reports.append(evaluate_holdout(train(train_data, params), test))
-        elif resubstitution:
-            reports.append(evaluate_holdout(train(train_data, params), train_data))
-        else:
+        if scored is None:
             reports.append(cross_validate(train_data, params, k, seed))
+        else:
+            reports.append(evaluate_holdout(train(train_data, params), scored))
     return ComparisonTable(tuple(p.algorithm for p in algorithms), tuple(reports))

@@ -15,19 +15,20 @@ Leaves print their total training weight and misclassified weight as
 distribution follows in braces (class order, nonzero entries only) so a
 loaded tree reproduces not just the predicted classes but the predicted
 probability distributions exactly.  A tree that is a single leaf has a
-one-line body such as ``: C3 (10/2) {B2:2,C3:8}``.
+one-line body such as ``: C3 (10/2) {B2:2,C3:8}``.  Saving and loading
+use explicit stacks, not recursion, so trees of any depth round-trip.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from .dataset import format_number
 from .errors import ModelFormatError
 from .trees import (ALGORITHMS, PARAM_FIELDS, DecisionTree, Internal, Leaf,
-                    Node, TrainParams)
+                    TrainParams, walk)
 
 FORMAT_VERSION = 1
 
@@ -71,19 +72,6 @@ def _leaf_text(leaf: Leaf, class_domain: Sequence[str]) -> str:
     return text
 
 
-def _emit(node: Internal, depth: int, attribute_names: Sequence[str],
-          class_domain: Sequence[str], out: List[str]) -> None:
-    indent = "|   " * depth
-    for op, child in (("<=", node.left), (">", node.right)):
-        line = (f"{indent}{attribute_names[node.attribute]} {op} "
-                f"{format_number(node.threshold)}")
-        if isinstance(child, Leaf):
-            out.append(line + _leaf_text(child, class_domain))
-        else:
-            out.append(line)
-            _emit(child, depth + 1, attribute_names, class_domain, out)
-
-
 def save_model(tree: DecisionTree) -> bytes:
     """Serialize a trained tree to canonical UTF-8 bytes."""
     lines = [
@@ -94,10 +82,21 @@ def save_model(tree: DecisionTree) -> bytes:
         "params: " + _params_text(tree.params, len(tree.attribute_names)),
         "tree:",
     ]
-    if isinstance(tree.root, Leaf):
-        lines.append(_leaf_text(tree.root, tree.class_domain))
-    else:
-        _emit(tree.root, 0, tree.attribute_names, tree.class_domain, lines)
+    # Pre-order over (node, its branch line, depth of its children's lines);
+    # the root has no branch line, so a root leaf prints only its leaf text.
+    stack = [(tree.root, "", 0)]
+    while stack:
+        node, head, depth = stack.pop()
+        if isinstance(node, Leaf):
+            lines.append(head + _leaf_text(node, tree.class_domain))
+            continue
+        if head:
+            lines.append(head)
+        indent = "|   " * depth
+        for op, child in ((">", node.right), ("<=", node.left)):
+            head = (f"{indent}{tree.attribute_names[node.attribute]} {op} "
+                    f"{format_number(node.threshold)}")
+            stack.append((child, head, depth + 1))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -145,42 +144,6 @@ def _parse_leaf(text: str, lineno: int, class_domain: Tuple[str, ...]) -> Leaf:
     return leaf
 
 
-def _parse_node(lines: List[str], pos: int, depth: int, base: int,
-                attribute_names: Tuple[str, ...],
-                class_domain: Tuple[str, ...]) -> Tuple[Node, int]:
-    indent = "|   " * depth
-
-    def branch(pos: int, expected_op: str):
-        lineno = base + pos
-        if pos >= len(lines):
-            raise ModelFormatError(lineno, "unexpected end of tree body")
-        line = lines[pos]
-        if not line.startswith(indent) or line[len(indent):len(indent) + 1] in ("", "|", " "):
-            raise ModelFormatError(lineno, f"bad indentation at depth {depth}")
-        match = _BRANCH_RE.match(line[len(indent):])
-        if not match:
-            raise ModelFormatError(lineno, f"malformed branch line {line!r}")
-        if match.group("op") != expected_op:
-            raise ModelFormatError(lineno, f"expected {expected_op!r} branch")
-        attr = match.group("attr")
-        if attr not in attribute_names:
-            raise ModelFormatError(lineno, f"unknown attribute {attr!r}")
-        threshold = _parse_number(match.group("thr"), lineno, "threshold")
-        if match.group("leaf"):
-            child = _parse_leaf(match.group("leaf"), lineno, class_domain)
-            return attr, threshold, child, pos + 1
-        child, next_pos = _parse_node(lines, pos + 1, depth + 1, base,
-                                      attribute_names, class_domain)
-        return attr, threshold, child, next_pos
-
-    attr, threshold, left, pos = branch(pos, "<=")
-    attr2, threshold2, right, pos = branch(pos, ">")
-    if attr2 != attr or threshold2 != threshold:
-        raise ModelFormatError(base + pos - 1,
-                               "branch pair tests different attribute/threshold")
-    return Internal(attribute_names.index(attr), threshold, left, right), pos
-
-
 def load_model(data: Union[bytes, str]) -> DecisionTree:
     """Parse model bytes back into a tree equivalent to the saved one."""
     if isinstance(data, (bytes, bytearray)):
@@ -211,18 +174,52 @@ def load_model(data: Union[bytes, str]) -> DecisionTree:
     params = _parse_params(expect(4, "params: "), algorithm, 5)
     if lines[5:6] != ["tree:"]:
         raise ModelFormatError(6, "expected a 'tree:' line")
-    body = lines[6:]
-    if not body:
+    if len(lines) == 6:
         raise ModelFormatError(7, "missing tree body")
+    pos = 6  # cursor into ``lines``; its line number is pos + 1
 
-    if body[0].startswith(":"):
-        if len(body) > 1:
-            raise ModelFormatError(8, "unexpected content after a single-leaf body")
-        root: Node = _parse_leaf(body[0], 7, class_domain)
-    else:
-        root, consumed = _parse_node(body, 0, 0, 7, attribute_names, class_domain)
-        if consumed != len(body):
-            raise ModelFormatError(7 + consumed, "unexpected trailing content")
+    def expand(task):
+        # A task is the branch line at the cursor: (depth, operator), or
+        # (0, None) for the root, which has a line only when it is a leaf.
+        # Results are (the branch's (attribute, threshold) test, node).
+        nonlocal pos
+        depth, expected_op = task
+        lineno = pos + 1
+        if pos >= len(lines):
+            raise ModelFormatError(lineno, "unexpected end of tree body")
+        line = lines[pos]
+        if expected_op is None:
+            if not line.startswith(":"):
+                return None, ((0, "<="), (0, ">"))
+            pos += 1
+            return (None, _parse_leaf(line, lineno, class_domain)), None
+        indent = "|   " * depth
+        if not line.startswith(indent) or line[len(indent):len(indent) + 1] in ("", "|", " "):
+            raise ModelFormatError(lineno, f"bad indentation at depth {depth}")
+        match = _BRANCH_RE.match(line[len(indent):])
+        if not match:
+            raise ModelFormatError(lineno, f"malformed branch line {line!r}")
+        if match.group("op") != expected_op:
+            raise ModelFormatError(lineno, f"expected {expected_op!r} branch")
+        attr = match.group("attr")
+        if attr not in attribute_names:
+            raise ModelFormatError(lineno, f"unknown attribute {attr!r}")
+        test = (attr, _parse_number(match.group("thr"), lineno, "threshold"))
+        pos += 1
+        if match.group("leaf"):
+            return (test, _parse_leaf(match.group("leaf"), lineno, class_domain)), None
+        return test, ((depth + 1, "<="), (depth + 1, ">"))
+
+    def join(test, left, right):
+        if left[0] != right[0]:
+            # Reported at the last line of the pair's ">" subtree.
+            raise ModelFormatError(pos, "branch pair tests different attribute/threshold")
+        attr, threshold = left[0]
+        return test, Internal(attribute_names.index(attr), threshold, left[1], right[1])
+
+    _test, root = walk((0, None), expand, join)
+    if pos != len(lines):
+        raise ModelFormatError(pos + 1, "unexpected trailing content")
     return DecisionTree(root, attribute_names, class_domain, params)
 
 

@@ -13,9 +13,10 @@ leaf carries the per-class training weight it received.
 * ``reducederror`` grows on part of the data by information gain and
   prunes bottom-up against the held-out remainder.
 
-The learners share one split kernel and one non-recursive grower
-(``_grow``).  They differ only in the grower's two hooks, which
-attributes a node scores and how it picks the split, and in the pruner.
+The learners share one split kernel, one grower and one pruner, all run
+on one explicit-stack walker (``walk``) so trees of any depth work.  They
+differ only in the grower's two hooks (which attributes a node scores,
+how it picks the split) and in the pruner's error estimate.
 
 Missing attribute values are distributed fractionally across both
 branches while training and routed to the heavier branch while
@@ -32,9 +33,9 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from scipy.special import betaincinv
 
@@ -125,14 +126,14 @@ class Internal:
     threshold: float
     left: "Node"
     right: "Node"
+    weight: float = field(init=False, repr=False, compare=False)
+    counts: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def weight(self) -> float:
-        return self.left.weight + self.right.weight
-
-    @cached_property
-    def counts(self) -> Tuple[float, ...]:
-        return tuple(a + b for a, b in zip(self.left.counts, self.right.counts))
+    def __post_init__(self):
+        # Children are built first, so reading their totals never recurses.
+        object.__setattr__(self, "weight", self.left.weight + self.right.weight)
+        object.__setattr__(self, "counts", tuple(
+            a + b for a, b in zip(self.left.counts, self.right.counts)))
 
 
 Node = Union[Leaf, Internal]
@@ -152,6 +153,28 @@ class DecisionTree:
 class Prediction:
     predicted_class: str
     distribution: Tuple[float, ...]
+
+
+def walk(task, expand: Callable, join: Callable):
+    """Evaluate a binary tree of tasks depth-first on an explicit stack.
+
+    ``expand(task)`` returns ``(value, None)`` for a leaf task, or ``(key,
+    (left_task, right_task))``: ``join(key, left, right)`` then combines
+    the results, and the left subtree is done before the right starts.
+    """
+    done: list = []
+    stack = [(False, task)]
+    while stack:
+        is_join, item = stack.pop()
+        if is_join:
+            done[-2:] = [join(item, *done[-2:])]
+            continue
+        key, children = expand(item)
+        if children is None:
+            done.append(key)
+        else:
+            stack += ((True, key), (False, children[1]), (False, children[0]))
+    return done[0]
 
 
 def entropy(class_counts: Sequence[float]) -> float:
@@ -395,25 +418,18 @@ def _choose_by_gain(evals) -> Optional[Tuple[int, float]]:
 
 
 def _grow(rows, n_classes: int, score, choose) -> Node:
-    """Grow a tree depth-first over an explicit work stack.
+    """Grow a tree depth-first on ``walk``.
 
     ``score(rows, path)`` gives each attribute's (best_gain, candidates),
     (0.0, []) if unexamined; ``path`` is the node's L/R steps from the
     root.  ``choose(evals)`` picks the (attribute, threshold) or None.
-    The stack holds node tasks (rows, path) and join markers (None, split).
     """
-    finished: List[Node] = []
-    stack = [(rows, "")]
-    while stack:
-        rows, item = stack.pop()
-        if rows is None:
-            left, right = finished[-2:]
-            finished[-2:] = [Internal(item[0], item[1], left, right)]
-            continue
+    def expand(task):
+        rows, path = task
         counts = _class_counts(rows, n_classes)
         choice = None
         if not _is_pure(counts):
-            evals = score(rows, item)
+            evals = score(rows, path)
             choice = choose(evals)
             if choice is None:
                 # No informative split; still separate the node so
@@ -422,13 +438,12 @@ def _grow(rows, n_classes: int, score, choose) -> Node:
                                for a, (_g, cands) in enumerate(evals) if cands),
                               None)
         if choice is None:
-            finished.append(Leaf(tuple(counts)))
-            continue
+            return Leaf(tuple(counts)), None
         left_rows, right_rows = _partition(rows, *choice)
-        stack.append((None, choice))
-        stack.append((right_rows, item + "R"))
-        stack.append((left_rows, item + "L"))
-    return finished[0]
+        return choice, ((left_rows, path + "L"), (right_rows, path + "R"))
+
+    return walk((rows, ""), expand,
+                lambda choice, left, right: Internal(*choice, left, right))
 
 
 def _grow_max_gain(rows, n_attrs: int, n_classes: int, min_leaf: int) -> Node:
@@ -454,22 +469,37 @@ def _upper_error_estimate(counts, confidence_factor: float) -> float:
     return n * float(betaincinv(e + 1.0, n - e, 1.0 - confidence_factor))
 
 
-def _pessimistic_prune(node: Node, confidence_factor: float):
-    """Subtree replacement; returns (node, its pessimistic error count)."""
-    if isinstance(node, Leaf):
-        return node, _upper_error_estimate(node.counts, confidence_factor)
-    left, est_left = _pessimistic_prune(node.left, confidence_factor)
-    right, est_right = _pessimistic_prune(node.right, confidence_factor)
-    if left is not node.left or right is not node.right:
-        node = Internal(node.attribute, node.threshold, left, right)
-    leaf_estimate = _upper_error_estimate(node.counts, confidence_factor)
-    if leaf_estimate <= est_left + est_right + 1e-9:
-        return Leaf(node.counts), leaf_estimate
-    return node, est_left + est_right
+def _prune(root: Node, cost, route, ctx):
+    """Bottom-up subtree replacement; returns (node, its cost).
+
+    ``cost(leaf, ctx)`` estimates a leaf's errors on the rows ``ctx``
+    stands for; ``route(node, ctx)`` splits ``ctx`` between the children.
+    A subtree whose replacement leaf costs no more becomes that leaf, so
+    on a holdout the pruned tree's error never exceeds the grown tree's.
+    """
+    def expand(task):
+        node, ctx = task
+        if isinstance(node, Leaf):
+            return (node, cost(node, ctx)), None
+        left_ctx, right_ctx = route(node, ctx)
+        return task, ((node.left, left_ctx), (node.right, right_ctx))
+
+    def join(task, left_result, right_result):
+        node, ctx = task
+        (left, cost_left), (right, cost_right) = left_result, right_result
+        if left is not node.left or right is not node.right:
+            node = Internal(node.attribute, node.threshold, left, right)
+        leaf = Leaf(node.counts)
+        leaf_cost = cost(leaf, ctx)
+        if leaf_cost <= cost_left + cost_right + 1e-9:
+            return leaf, leaf_cost
+        return node, cost_left + cost_right
+
+    return walk((root, ctx), expand, join)
 
 
-def _holdout_errors(predicted_index: int, hold_rows) -> float:
-    return sum(w for _feats, cls, w in hold_rows if cls != predicted_index)
+def _holdout_errors(leaf: Leaf, hold_rows) -> float:
+    return sum(w for _feats, cls, w in hold_rows if cls != leaf.predicted_index)
 
 
 def _route_holdout(node: Internal, hold_rows):
@@ -487,23 +517,7 @@ def _route_holdout(node: Internal, hold_rows):
 
 
 def _reduced_error_prune(node: Node, hold_rows):
-    """Bottom-up subtree replacement against the pruning holdout.
-
-    A subtree is replaced whenever the replacement leaf does at least as
-    well on the holdout, so holdout error never increases.
-    """
-    if isinstance(node, Leaf):
-        return node, _holdout_errors(node.predicted_index, hold_rows)
-    hold_left, hold_right = _route_holdout(node, hold_rows)
-    left, err_left = _reduced_error_prune(node.left, hold_left)
-    right, err_right = _reduced_error_prune(node.right, hold_right)
-    if left is not node.left or right is not node.right:
-        node = Internal(node.attribute, node.threshold, left, right)
-    leaf = Leaf(node.counts)
-    leaf_err = _holdout_errors(leaf.predicted_index, hold_rows)
-    if err_left + err_right >= leaf_err - 1e-9:
-        return leaf, leaf_err
-    return node, err_left + err_right
+    return _prune(node, _holdout_errors, _route_holdout, hold_rows)
 
 
 def _train_reduced_error(rows, n_attrs: int, n_classes: int,
@@ -530,7 +544,10 @@ def train(dataset: Dataset, params: TrainParams) -> DecisionTree:
                      _score_all(n_attrs, n_classes, params.min_leaf),
                      _choose_by_gain_ratio)
         if params.prune:
-            root, _estimate = _pessimistic_prune(root, params.confidence_factor)
+            cf = params.confidence_factor
+            root, _estimate = _prune(
+                root, lambda leaf, _ctx: _upper_error_estimate(leaf.counts, cf),
+                lambda _node, _ctx: (None, None), None)
     elif params.algorithm == "randomsubset":
         k = params.resolved_k(n_attrs)
         if k > n_attrs:
@@ -575,6 +592,6 @@ def predict(tree: DecisionTree, features: Sequence[Optional[float]]) -> Predicti
 def tree_size(tree: Union[DecisionTree, Node]) -> int:
     """Total node count, internal nodes plus leaves."""
     node = tree.root if isinstance(tree, DecisionTree) else tree
-    if isinstance(node, Leaf):
-        return 1
-    return 1 + tree_size(node.left) + tree_size(node.right)
+    return walk(node,
+                lambda n: (1, None) if isinstance(n, Leaf) else (1, (n.left, n.right)),
+                lambda one, left, right: one + left + right)

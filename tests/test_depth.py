@@ -1,14 +1,31 @@
-"""Training a very deep tree must not exhaust the interpreter stack."""
+"""Trees of any depth train, prune, size, save, load and predict.
 
-from croptree import Dataset, LabeledInstance, TrainParams, train
+One attribute with alternating labels makes every split peel off one
+row, so the grown trees are about N_ROWS levels deep, past the default
+interpreter recursion limit of 1,000 frames.
+"""
+
+import functools
+
+import pytest
+
+from croptree import (CLASS_DOMAIN, MONTH_NAMES, Dataset, LabeledInstance,
+                      StationYear, TrainParams, load_model, predict, save_model,
+                      train, tree_size, write_rainfall_file)
+from croptree.cli import main
 from croptree.trees import Internal, _dataset_rows, _grow_max_gain
 
 N_ROWS = 1500
 
+LEARNERS = {
+    "gainratio": TrainParams("gainratio", min_leaf=1),
+    "gainratio_unpruned": TrainParams("gainratio", min_leaf=1, prune=False),
+    "randomsubset": TrainParams("randomsubset"),
+    "reducederror": TrainParams("reducederror", min_leaf=1),
+}
+
 
 def _alternating_dataset():
-    # One attribute with alternating labels: every split peels off one
-    # row, so the grown tree is about N_ROWS levels deep.
     instances = tuple(LabeledInstance((float(i),), "XY"[i % 2])
                       for i in range(N_ROWS))
     return Dataset(("a0",), ("X", "Y"), instances)
@@ -23,11 +40,83 @@ def _depth(node):
     return depth
 
 
-def test_randomsubset_trains_deep_tree():
-    tree = train(_alternating_dataset(), TrainParams("randomsubset"))
-    assert _depth(tree.root) >= N_ROWS // 2
+def _count_nodes(node):
+    count, stack = 0, [node]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if isinstance(node, Internal):
+            stack += (node.left, node.right)
+    return count
+
+
+@pytest.fixture(scope="module")
+def trained():
+    """Each learner's tree, trained on first use and kept for the module."""
+    data = _alternating_dataset()
+    return functools.cache(lambda name: train(data, LEARNERS[name]))
+
+
+def test_randomsubset_trains_deep_tree(trained):
+    assert _depth(trained("randomsubset").root) >= N_ROWS // 2
 
 
 def test_max_gain_grower_grows_deep_tree():
     root = _grow_max_gain(_dataset_rows(_alternating_dataset()), 1, 2, 1)
     assert _depth(root) >= N_ROWS // 2
+
+
+@pytest.mark.parametrize("name", sorted(LEARNERS))
+def test_deep_tree_size(trained, name):
+    tree = trained(name)
+    assert tree_size(tree) == _count_nodes(tree.root)
+
+
+@pytest.mark.parametrize("name", sorted(LEARNERS))
+def test_deep_tree_round_trips(trained, name):
+    # Bytes, not trees, are compared: dataclass __eq__ and repr recurse.
+    tree = trained(name)
+    data = save_model(tree)
+    loaded = load_model(data)
+    assert save_model(loaded) == data
+    assert predict(loaded, (None,)) == predict(tree, (None,))
+
+
+def _chain_model_lines(depth):
+    """A hand-written gainratio model: a chain of ``jan <= d`` tests."""
+    lines = ["croptree-model v1", "algorithm: gainratio",
+             "attributes: " + ",".join(MONTH_NAMES),
+             "classes: " + ",".join(CLASS_DOMAIN),
+             "params: min_leaf=2 confidence_factor=0.25 prune=true seed=1",
+             "tree:"]
+    for d in range(depth):
+        indent = "|   " * d
+        lines.append(f"{indent}jan <= {d}: A1 (1/0)")
+        lines.append(f"{indent}jan > {d}" + (": B1 (1/0)" if d == depth - 1 else ""))
+    return lines
+
+
+def _recommend(tmp_path, model_lines):
+    model = tmp_path / "deep.model"
+    model.write_text("\n".join(model_lines) + "\n", encoding="utf-8")
+    rain = tmp_path / "rain.csv"
+    station = StationYear("S", "R", 2014, (600.5,) + (100.0,) * 11)
+    rain.write_text(write_rainfall_file([station]), encoding="utf-8")
+    out = tmp_path / "out.csv"
+    return main(["recommend", str(model), str(rain), "-o", str(out)]), out
+
+
+def test_recommend_reads_deep_model(tmp_path):
+    code, out = _recommend(tmp_path, _chain_model_lines(1200))
+    assert code == 0
+    # jan=600.5 passes 601 "jan >" tests before its leaf.
+    assert out.read_text(encoding="utf-8").splitlines()[1].split(",")[2] == "A1"
+
+
+def test_recommend_rejects_truncated_deep_model(tmp_path, capsys):
+    lines = _chain_model_lines(1200)[:-1]
+    code, out = _recommend(tmp_path, lines)
+    assert code == 2
+    assert not out.exists()
+    assert (f"line {len(lines) + 1}: unexpected end of tree body"
+            in capsys.readouterr().err)

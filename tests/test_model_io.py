@@ -1,6 +1,9 @@
+import pathlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from croptree import (Dataset, LabeledInstance, ModelFormatError, TrainParams,
                       load_model, predict, save_model, train)
@@ -170,3 +173,42 @@ class TestLoadErrors:
         with pytest.raises(ModelFormatError) as info:
             load_model("croptree-model v1\nnot-a-header\n")
         assert info.value.line_number == 2
+
+
+GOLDEN_TEXTS = sorted(path.read_text(encoding="utf-8") for path in
+                      (pathlib.Path(__file__).parent / "golden").glob("*.model"))
+
+_MUTATIONS = ("drop", "duplicate", "indent", "dedent", "swap")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_model_is_rejected_or_resaves_canonically(data):
+    """Golden files with tree-body lines dropped, duplicated or
+    re-indented, or two characters of a body line swapped, either fail to
+    load with ModelFormatError or load to a tree that re-saves unchanged."""
+    lines = data.draw(st.sampled_from(GOLDEN_TEXTS)).split("\n")
+    for _ in range(data.draw(st.integers(1, 3))):
+        # Body lines only: lines[:6] is the header, lines[-1] the final "".
+        k = data.draw(st.integers(6, len(lines) - 2))
+        kind = data.draw(st.sampled_from(_MUTATIONS))
+        if kind == "drop":
+            del lines[k]
+        elif kind == "duplicate":
+            lines.insert(k, lines[k])
+        elif kind == "indent":
+            lines[k] = "|   " + lines[k]
+        elif kind == "dedent":
+            lines[k] = lines[k][4:]
+        else:
+            chars = list(lines[k])
+            a = data.draw(st.integers(0, len(chars) - 1))
+            b = data.draw(st.integers(0, len(chars) - 1))
+            chars[a], chars[b] = chars[b], chars[a]
+            lines[k] = "".join(chars)
+    try:
+        tree = load_model("\n".join(lines))
+    except ModelFormatError:
+        return
+    saved = save_model(tree)
+    assert save_model(load_model(saved)) == saved
