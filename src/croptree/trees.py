@@ -18,6 +18,18 @@ on one explicit-stack walker (``walk``) so trees of any depth work.  They
 differ only in the grower's two hooks (which attributes a node scores,
 how it picks the split) and in the pruner's error estimate.
 
+Training holds the data as columns: an n×A float matrix with NaN for a
+missing value, a class-index vector and a weight vector, built once per
+tree.  A node is an array of row indices and one of weights, and numpy
+scores all its split candidates at once, every attribute and class in
+one pass.  Nodes of at most ``_SMALL_NODE`` rows are scored and split in
+plain Python instead, where numpy's cost per call outweighs the work;
+both give the same trees.  Leaf counts and branch weights are sums of
+weights whose last bits depend on the order of the additions, so every
+such sum is sequential, left to right in the node's row order
+(``np.cumsum``, ``np.bincount``), never pairwise like ``np.sum``: models
+stay byte-identical whichever path grew them.
+
 Missing attribute values are distributed fractionally across both
 branches while training and routed to the heavier branch while
 predicting, so every input receives a definite class.
@@ -35,8 +47,9 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+import numpy as np
 from scipy.special import betaincinv
 
 from .dataset import Dataset
@@ -134,6 +147,44 @@ class Internal:
         object.__setattr__(self, "weight", self.left.weight + self.right.weight)
         object.__setattr__(self, "counts", tuple(
             a + b for a, b in zip(self.left.counts, self.right.counts)))
+
+    # Equality, hashing and repr walk no deeper than the Python stack
+    # allows: the first two on an explicit stack, repr not at all.
+
+    def __eq__(self, other):
+        if not isinstance(other, Internal):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if not (isinstance(a, Internal) and isinstance(b, Internal)):
+                if a != b:
+                    return False
+            elif a.attribute != b.attribute or a.threshold != b.threshold:
+                return False
+            else:
+                stack += ((a.right, b.right), (a.left, b.left))
+        return True
+
+    def __hash__(self):
+        parts, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Internal):
+                parts.append((node.attribute, node.threshold))
+                stack += (node.right, node.left)
+            else:
+                parts.append(node)
+        return hash(tuple(parts))
+
+    def __repr__(self):
+        def brief(child):
+            return "Internal(...)" if isinstance(child, Internal) else repr(child)
+        return (f"Internal(attribute={self.attribute!r}, "
+                f"threshold={self.threshold!r}, left={brief(self.left)}, "
+                f"right={brief(self.right)})")
 
 
 Node = Union[Leaf, Internal]
@@ -245,11 +296,63 @@ def gain_ratio(dataset: Dataset, attribute_index: int, threshold: float) -> floa
 # ---------------------------------------------------------------------------
 # Training internals.  Rows are (features, class_index, weight) triples;
 # weights become fractional below nodes that split on an attribute some
-# instance is missing.
+# instance is missing.  A node of more than _SMALL_NODE rows is a
+# ``_Block``: the training set's columns plus the node's row indices and
+# weights.  A smaller node is a plain list of rows.  Sums of weights stay
+# sequential (see the module docstring).
 
-def _class_counts(rows, n_classes: int) -> List[float]:
+#: Nodes of at most this many rows are scored and split in pure Python,
+#: where numpy's fixed cost per call would outweigh the work.
+_SMALL_NODE = 16
+
+#: Rows × attributes, and split candidates, scored together at a node.
+_BLOCK_CELLS = 2048
+
+
+class _Columns(NamedTuple):
+    """A training set as arrays, with the rows they were built from."""
+
+    rows: list
+    values: np.ndarray  # n×A, NaN for a missing value
+    classes: np.ndarray
+
+
+class _Block(NamedTuple):
+    """A node of more than _SMALL_NODE rows."""
+
+    columns: _Columns
+    rows: np.ndarray  # indices into columns, in node order
+    weights: np.ndarray
+
+
+class _Scores(NamedTuple):
+    """A block's admissible split candidates, by column, then threshold."""
+
+    best: np.ndarray  # per column, its largest candidate gain or 0.0
+    col: np.ndarray
+    row: np.ndarray  # the sorted row that ends the candidate's left side
+    threshold: np.ndarray
+    gain: np.ndarray
+    ratio: np.ndarray
+
+
+def _node(rows, n_attrs: int):
+    """The root node over ``rows``: the list itself, or a ``_Block``."""
+    if len(rows) <= _SMALL_NODE:
+        return rows
+    values = np.array([feats for feats, _cls, _w in rows], dtype=float)
+    classes = np.array([cls for _feats, cls, _w in rows], dtype=np.intp)
+    weights = np.array([w for _feats, _cls, w in rows], dtype=float)
+    columns = _Columns(rows, values.reshape(len(rows), n_attrs), classes)
+    return _Block(columns, np.arange(len(rows)), weights)
+
+
+def _class_counts(node, n_classes: int) -> List[float]:
+    if isinstance(node, _Block):
+        return np.bincount(node.columns.classes[node.rows], node.weights,
+                           n_classes).tolist()
     counts = [0.0] * n_classes
-    for _feats, cls, w in rows:
+    for _feats, cls, w in node:
         counts[cls] += w
     return counts
 
@@ -271,6 +374,17 @@ def _attribute_candidates(rows, attr: int, n_classes: int, min_leaf: float):
     strictly increasing.  A candidate is admissible when both fractional
     branch weights reach min_leaf.
     """
+    if len(rows) <= _SMALL_NODE:
+        return _small_candidates(rows, attr, n_classes, min_leaf)
+    block = _node([((feats[attr],), cls, w) for feats, cls, w in rows], 1)
+    scores = _block_scores(block, [0], n_classes, min_leaf)
+    return float(scores.best[0]), list(zip(scores.threshold.tolist(),
+                                           scores.gain.tolist(),
+                                           scores.ratio.tolist()))
+
+
+def _small_candidates(rows, attr: int, n_classes: int, min_leaf: float):
+    """``_attribute_candidates`` for a small node, one candidate at a time."""
     present = []
     miss_counts = [0.0] * n_classes
     miss_w = 0.0
@@ -340,10 +454,148 @@ def _attribute_candidates(rows, attr: int, n_classes: int, min_leaf: float):
     return best_gain, out
 
 
-def _partition(rows, attr: int, threshold: float):
+def _column_sums(rows):
+    """Sums down the first axis, adding one row after another."""
+    total = np.zeros(rows.shape[1:])
+    for row in rows:
+        total += row
+    return total
+
+
+def _entropies(counts, totals):
+    """Entropy of each column of ``counts / totals``; counts <= 0 add nothing."""
+    p = counts / totals
+    terms = np.where(counts > 0.0, p, 1.0)
+    np.log2(terms, out=terms)
+    terms *= p
+    return 0.0 - _column_sums(terms)
+
+
+def _block_scores(block: _Block, attrs, n_classes: int,
+                  min_leaf: float) -> _Scores:
+    """Every admissible candidate of the columns ``attrs`` at one block.
+
+    The same arithmetic as ``_small_candidates``, for all candidates of
+    as many columns at once as fit in _BLOCK_CELLS rows × columns, so
+    memory stays bounded on large nodes.  Only the logarithms may differ
+    in the last bit, and gains and ratios are only ever compared within
+    EPS.
+    """
+    attrs = np.asarray(attrs, dtype=np.intp)
+    classes = block.columns.classes[block.rows]
+    active = np.flatnonzero(np.bincount(classes, minlength=n_classes))
+    code = np.searchsorted(active, classes)
+    step = max(1, _BLOCK_CELLS // len(block.rows))
+    firsts = range(0, max(len(attrs), 1), step)
+    parts = [_group_scores(block, attrs[first:first + step], code, len(active),
+                           min_leaf)
+             for first in firsts]
+    for first, part in zip(firsts, parts):
+        part.col[:] += first
+    return parts[0] if len(parts) == 1 else _Scores(*map(np.concatenate,
+                                                        zip(*parts)))
+
+
+def _group_scores(block: _Block, attrs, code, k: int, min_leaf: float):
+    """``_block_scores`` for a few columns; arrays run column by sorted
+    row, or class by candidate."""
+    values = block.columns.values[block.rows, attrs[:, None]]
+    n_attrs, n = values.shape
+    order = values.argsort(axis=1, kind="stable")  # NaN last; ties keep node order
+    by_attr = np.arange(n_attrs)[:, None]
+    v = values[by_attr, order]
+    w = block.weights[order]
+    code = code[order]
+    present = ~np.isnan(v)
+    missing = ~present
+
+    # Per column, class totals add the missing rows in node order, then
+    # the present rows by value; ``cell`` is an entry's (column, class).
+    cell = code + k * by_attr
+    miss_counts = np.bincount(cell[missing], w[missing], n_attrs * k)
+    total_counts = np.bincount(
+        np.concatenate((cell[missing], cell[present])),
+        np.concatenate((w[missing], w[present])), n_attrs * k)
+    miss_counts = miss_counts.reshape(n_attrs, k).T
+    total_counts = total_counts.reshape(n_attrs, k).T
+    miss_w = np.bincount(missing.nonzero()[0], w[missing], n_attrs)
+    total_w = _column_sums(total_counts)
+    known_w = total_w - miss_w
+
+    # A run of equal present values ends at sorted row ``row`` of ``col``.
+    col, row = (present[:, 1:] & (v[:, 1:] != v[:, :-1])).nonzero()
+    left_known = w.cumsum(axis=1)[col, row]
+    known, miss = known_w[col], miss_w[col]
+    frac = left_known / known
+    lw = left_known + miss * frac
+    rw = (known - left_known) + miss * (1.0 - frac)
+    ok = (lw + EPS >= min_leaf) & (rw + EPS >= min_leaf)
+    col, row, frac, lw, rw = col[ok], row[ok], frac[ok], lw[ok], rw[ok]
+
+    # Class counts left of each run end are running sums per column and
+    # class; the (class × candidate) blocks go a slice at a time.
+    cum = (code == np.arange(k)[:, None, None]) * w
+    cum = cum.cumsum(axis=2, out=cum)
+    hl, hr = np.empty(len(col)), np.empty(len(col))
+    for lo in range(0, len(col), _BLOCK_CELLS):
+        part = slice(lo, lo + _BLOCK_CELLS)
+        c = col[part]
+        left = cum[:, c, row[part]]
+        shared = miss_counts[:, c] * frac[part]
+        h = _entropies(
+            np.concatenate((left + shared, total_counts[:, c] - left - shared),
+                           axis=1),
+            np.concatenate((lw[part], rw[part])))
+        hl[part], hr[part] = h[:len(c)], h[len(c):]
+    total = total_w[col]
+    gain = _entropies(total_counts, total_w)[col] - (lw * hl + rw * hr) / total
+    gain[gain < 0.0] = 0.0
+    pl, pr = lw / total, rw / total
+    ratio = gain / -(pl * np.log2(pl) + pr * np.log2(pr))
+    best = np.zeros(n_attrs)
+    np.maximum.at(best, col, gain)
+    threshold = (v[col, row] + v[col, row + 1]) / 2.0
+    return _Scores(best, col, row, threshold, gain, ratio)
+
+
+def _evaluate(node, attrs, n_classes: int, min_leaf: float):
+    """Each attribute's (best_gain, candidates) at ``node``, in ``attrs`` order.
+
+    A small node yields them lazily.  A block lists only the candidates a
+    chooser can take: above every earlier candidate of the same attribute
+    in gain or in gain ratio (so each attribute's first one is kept).
+    """
+    if not isinstance(node, _Block):
+        return (_small_candidates(node, a, n_classes, min_leaf) for a in attrs)
+    scores = _block_scores(node, attrs, n_classes, min_leaf)
+    col, row = scores.col, scores.row
+    keep = np.zeros(len(col), dtype=bool)
+    for key in (scores.gain, scores.ratio):
+        prefix = np.full((len(attrs), len(node.rows)), -np.inf)
+        prefix[col, row + 1] = key
+        keep |= key > np.maximum.accumulate(prefix, axis=1)[col, row]
+    cands = list(zip(scores.threshold[keep].tolist(), scores.gain[keep].tolist(),
+                     scores.ratio[keep].tolist()))
+    ends = np.searchsorted(col[keep], np.arange(len(attrs) + 1)).tolist()
+    return [(best, cands[ends[j]:ends[j + 1]])
+            for j, best in enumerate(scores.best.tolist())]
+
+
+def _running_sum(weights) -> float:
+    return float(weights.cumsum()[-1]) if weights.size else 0.0
+
+
+def _partition(node, attr: int, threshold: float):
+    """The children of ``node`` split at ``attr <= threshold``.
+
+    Each child has its present rows in node order, then the rows missing
+    ``attr``, their weight scaled by the child's share of present weight.
+    """
+    if isinstance(node, _Block):
+        return _partition_block(node, attr, threshold)
     left, right, missing = [], [], []
     lw = rw = 0.0
-    for row in rows:
+    for row in node:
         v = row[0][attr]
         if v is None:
             missing.append(row)
@@ -363,27 +615,52 @@ def _partition(rows, attr: int, threshold: float):
     return left, right
 
 
+def _partition_block(block: _Block, attr: int, threshold: float):
+    columns, rows, weights = block
+    v = columns.values[rows, attr]
+    go_left, go_right = v <= threshold, v > threshold
+    left_w = _running_sum(weights[go_left])
+    frac = left_w / (left_w + _running_sum(weights[go_right]))
+    missing = np.isnan(v)
+    children = []
+    for side, share in ((go_left, frac), (go_right, 1.0 - frac)):
+        child_rows, child_weights = rows[side], weights[side]
+        if share > 0.0:
+            child_rows = np.concatenate((child_rows, rows[missing]))
+            child_weights = np.concatenate((child_weights,
+                                            weights[missing] * share))
+        if len(child_rows) > _SMALL_NODE:
+            children.append(_Block(columns, child_rows, child_weights))
+        else:
+            children.append([(columns.rows[i][0], columns.rows[i][1], w)
+                             for i, w in zip(child_rows.tolist(),
+                                             child_weights.tolist())])
+    return children
+
+
 def _score_all(n_attrs: int, n_classes: int, min_leaf: int):
-    def score(rows, _path):
-        return [_attribute_candidates(rows, a, n_classes, min_leaf)
-                for a in range(n_attrs)]
+    def score(node, _path):
+        return list(_evaluate(node, range(n_attrs), n_classes, min_leaf))
     return score
 
 
 def _score_random_subset(n_attrs: int, n_classes: int, k: int, seed: int):
-    def score(rows, path):
+    def score(node, path):
         # The node-local stream depends only on (seed, position in the tree),
         # so sibling subtrees are independent of evaluation order.
         order = list(range(n_attrs))
         random.Random(f"{seed}:{path}").shuffle(order)
         evals = [(0.0, [])] * n_attrs
-        found = False
-        for j, a in enumerate(order):
-            if j >= k and found:
-                break
-            evals[a] = _attribute_candidates(rows, a, n_classes, 1)
-            if evals[a][0] > EPS:
-                found = True
+        head = list(_evaluate(node, order[:k], n_classes, 1))
+        for a, ev in zip(order[:k], head):
+            evals[a] = ev
+        if not any(g > EPS for g, _cands in head):
+            # Go on past the subset, in the node's order, up to the first
+            # attribute with a positive gain.
+            for a, ev in zip(order[k:], _evaluate(node, order[k:], n_classes, 1)):
+                evals[a] = ev
+                if ev[0] > EPS:
+                    break
         return evals
     return score
 
@@ -417,19 +694,19 @@ def _choose_by_gain(evals) -> Optional[Tuple[int, float]]:
     return choice
 
 
-def _grow(rows, n_classes: int, score, choose) -> Node:
+def _grow(rows, n_attrs: int, n_classes: int, score, choose) -> Node:
     """Grow a tree depth-first on ``walk``.
 
-    ``score(rows, path)`` gives each attribute's (best_gain, candidates),
+    ``score(node, path)`` gives each attribute's (best_gain, candidates),
     (0.0, []) if unexamined; ``path`` is the node's L/R steps from the
     root.  ``choose(evals)`` picks the (attribute, threshold) or None.
     """
     def expand(task):
-        rows, path = task
-        counts = _class_counts(rows, n_classes)
+        node, path = task
+        counts = _class_counts(node, n_classes)
         choice = None
         if not _is_pure(counts):
-            evals = score(rows, path)
+            evals = score(node, path)
             choice = choose(evals)
             if choice is None:
                 # No informative split; still separate the node so
@@ -439,16 +716,16 @@ def _grow(rows, n_classes: int, score, choose) -> Node:
                               None)
         if choice is None:
             return Leaf(tuple(counts)), None
-        left_rows, right_rows = _partition(rows, *choice)
-        return choice, ((left_rows, path + "L"), (right_rows, path + "R"))
+        left, right = _partition(node, *choice)
+        return choice, ((left, path + "L"), (right, path + "R"))
 
-    return walk((rows, ""), expand,
+    return walk((_node(rows, n_attrs), ""), expand,
                 lambda choice, left, right: Internal(*choice, left, right))
 
 
 def _grow_max_gain(rows, n_attrs: int, n_classes: int, min_leaf: int) -> Node:
-    return _grow(rows, n_classes, _score_all(n_attrs, n_classes, min_leaf),
-                 _choose_by_gain)
+    return _grow(rows, n_attrs, n_classes,
+                 _score_all(n_attrs, n_classes, min_leaf), _choose_by_gain)
 
 
 def _upper_error_estimate(counts, confidence_factor: float) -> float:
@@ -540,7 +817,7 @@ def train(dataset: Dataset, params: TrainParams) -> DecisionTree:
     n_classes = len(dataset.class_domain)
     rows = _dataset_rows(dataset)
     if params.algorithm == "gainratio":
-        root = _grow(rows, n_classes,
+        root = _grow(rows, n_attrs, n_classes,
                      _score_all(n_attrs, n_classes, params.min_leaf),
                      _choose_by_gain_ratio)
         if params.prune:
@@ -553,7 +830,7 @@ def train(dataset: Dataset, params: TrainParams) -> DecisionTree:
         if k > n_attrs:
             raise ValueError(
                 f"k={k} exceeds the {n_attrs} available attributes")
-        root = _grow(rows, n_classes,
+        root = _grow(rows, n_attrs, n_classes,
                      _score_random_subset(n_attrs, n_classes, k, params.seed),
                      _choose_by_gain)
     else:

@@ -2,6 +2,8 @@ import io
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from croptree import (CLASS_DOMAIN, DataError, Dataset, LabeledInstance,
                       MONTH_NAMES, MissingPolicy, StationYear,
@@ -9,7 +11,7 @@ from croptree import (CLASS_DOMAIN, DataError, Dataset, LabeledInstance,
                       dataset_from_pairs, label_dataset, label_records,
                       parse_labeled_file, parse_rainfall_file,
                       stratified_folds, write_rainfall_file)
-from croptree.dataset import RAINFALL_HEADER, sniff_labeled
+from croptree.dataset import LABELED_HEADER, RAINFALL_HEADER, sniff_labeled
 
 HEADER = "station,region,year,jan,feb,mar,apr,may,jun,jul,aug,sep,oct,nov,dec"
 
@@ -243,3 +245,62 @@ def test_dataset_from_pairs_round_trips_labels():
 
 def test_header_constant_matches_month_names():
     assert RAINFALL_HEADER == HEADER
+
+
+# A clean file of each kind: a comment, a blank line, a missing cell and
+# CRLF line ends among the body lines.
+_PLAIN_LINES = SAMPLE.rstrip("\n").split("\n") + [
+    "Kemayoran,DKI Jakarta,2014,301.5,,288,200,180,160,95,45,65,125,215,262\r",
+]
+_LABELED_LINES = [LABELED_HEADER] + [
+    f"{line},{label}" for line, label in zip(
+        [ln.rstrip("\r") for ln in _PLAIN_LINES[1:] if "," in ln],
+        ("C3", "B2", "A1"))
+]
+
+_LINE_MUTATIONS = ("drop", "duplicate", "swap", "truncate", "rewrite")
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_rainfall_csv_parses_or_raises_data_error(data):
+    """Rainfall files, plain or labeled, with a column dropped or
+    duplicated (in every line or in one, header included), two characters
+    of a line swapped, a line cut short, or one cell rewritten, either
+    parse, and then label, or raise DataError; never any other exception."""
+    labeled = data.draw(st.booleans())
+    lines = list(_LABELED_LINES if labeled else _PLAIN_LINES)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(_LINE_MUTATIONS))
+        every_line = kind in ("drop", "duplicate") and data.draw(st.booleans())
+        targets = (range(len(lines)) if every_line
+                   else [data.draw(st.integers(0, len(lines) - 1))])
+        column = data.draw(st.integers(0, 15))
+        for k in targets:
+            line = lines[k]
+            if kind in ("drop", "duplicate", "rewrite"):
+                cells = line.split(",")
+                j = min(column, len(cells) - 1)
+                if kind == "rewrite":
+                    cells[j] = data.draw(st.text("0123456789.-+eEinfaAB3_ ",
+                                                 max_size=6))
+                else:
+                    cells[j:j + 1] = [] if kind == "drop" else [cells[j]] * 2
+                lines[k] = ",".join(cells)
+            elif kind == "swap" and line:
+                a = data.draw(st.integers(0, len(line) - 1))
+                b = data.draw(st.integers(0, len(line) - 1))
+                chars = list(line)
+                chars[a], chars[b] = chars[b], chars[a]
+                lines[k] = "".join(chars)
+            else:
+                lines[k] = line[:data.draw(st.integers(0, len(line)))]
+    text = "\n".join(lines) + "\n"
+    try:
+        if labeled:
+            records = [record for record, _label in parse_labeled_file(text)]
+        else:
+            records = parse_rainfall_file(text)
+        label_records(records)
+    except DataError:
+        pass

@@ -1,4 +1,5 @@
-"""Trees of any depth train, prune, size, save, load and predict.
+"""Trees of any depth train, prune, size, save, load, predict, compare,
+hash and repr.
 
 One attribute with alternating labels makes every split peel off one
 row, so the grown trees are about N_ROWS levels deep, past the default
@@ -13,7 +14,7 @@ from croptree import (CLASS_DOMAIN, MONTH_NAMES, Dataset, LabeledInstance,
                       StationYear, TrainParams, load_model, predict, save_model,
                       train, tree_size, write_rainfall_file)
 from croptree.cli import main
-from croptree.trees import Internal, _dataset_rows, _grow_max_gain
+from croptree.trees import Internal, Leaf, _dataset_rows, _grow_max_gain, walk
 
 N_ROWS = 1500
 
@@ -61,9 +62,14 @@ def test_randomsubset_trains_deep_tree(trained):
     assert _depth(trained("randomsubset").root) >= N_ROWS // 2
 
 
-def test_max_gain_grower_grows_deep_tree():
-    root = _grow_max_gain(_dataset_rows(_alternating_dataset()), 1, 2, 1)
-    assert _depth(root) >= N_ROWS // 2
+@pytest.fixture(scope="module")
+def max_gain_root():
+    """The reducederror learner's grower, before pruning."""
+    return _grow_max_gain(_dataset_rows(_alternating_dataset()), 1, 2, 1)
+
+
+def test_max_gain_grower_grows_deep_tree(max_gain_root):
+    assert _depth(max_gain_root) >= N_ROWS // 2
 
 
 @pytest.mark.parametrize("name", sorted(LEARNERS))
@@ -74,12 +80,46 @@ def test_deep_tree_size(trained, name):
 
 @pytest.mark.parametrize("name", sorted(LEARNERS))
 def test_deep_tree_round_trips(trained, name):
-    # Bytes, not trees, are compared: dataclass __eq__ and repr recurse.
     tree = trained(name)
     data = save_model(tree)
     loaded = load_model(data)
     assert save_model(loaded) == data
+    assert loaded.root == tree.root
     assert predict(loaded, (None,)) == predict(tree, (None,))
+
+
+def _rebuild(node, changed=None):
+    """A separately built copy of ``node``; the leaf ``changed`` gets
+    one more unit of weight in each class."""
+    def expand(n):
+        if isinstance(n, Leaf):
+            return Leaf(tuple(c + (n is changed) for c in n.counts)), None
+        return n, (n.left, n.right)
+
+    return walk(node, expand, lambda n, left, right: Internal(
+        n.attribute, n.threshold, left, right))
+
+
+def _bottom_leaf(node):
+    """A leaf at the end of the chain of internal nodes below ``node``."""
+    while isinstance(node, Internal):
+        node = node.right if isinstance(node.right, Internal) else node.left
+    return node
+
+
+@pytest.mark.parametrize("name", ["gainratio_unpruned", "max_gain",
+                                  "randomsubset"])
+def test_deep_tree_compares_hashes_and_reprs(trained, max_gain_root, name):
+    root = max_gain_root if name == "max_gain" else trained(name).root
+    assert _depth(root) >= N_ROWS // 2
+    copy = _rebuild(root)
+    assert copy is not root
+    assert copy == root
+    assert hash(copy) == hash(root)
+    assert _rebuild(root, changed=_bottom_leaf(root)) != root
+    assert repr(root).startswith(
+        f"Internal(attribute=0, threshold={root.threshold!r}, left=")
+    assert repr(root).count("Internal(") <= 3
 
 
 def _chain_model_lines(depth):
