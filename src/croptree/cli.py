@@ -8,6 +8,7 @@ partial output behind.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import tempfile
@@ -32,6 +33,10 @@ _POLICIES = {
 }
 
 _PATTERNS_BY_TEXT = {p.value: p for p in CroppingPattern}
+
+#: The learner flags' defaults are TrainParams' own.
+_LEARNER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainParams)
+                     if f.default is not dataclasses.MISSING}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,16 +82,16 @@ def _build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True, help="model file to write")
     p.add_argument("--algorithm", choices=ALGORITHMS, required=True)
-    p.add_argument("--min-leaf", type=int, default=2)
-    p.add_argument("--confidence-factor", type=float, default=0.25)
+    p.add_argument("--min-leaf", type=int)
+    p.add_argument("--confidence-factor", type=float)
     p.add_argument("--no-prune", dest="prune", action="store_false",
                    help="skip pessimistic pruning (gainratio only)")
-    p.add_argument("--k", type=_k_flag, default=None,
+    p.add_argument("--k", type=_k_flag,
                    help="attribute subset size for randomsubset (default auto)")
-    p.add_argument("--prune-folds", type=int, default=3)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--prune-folds", type=int)
+    p.add_argument("--seed", type=int)
     add_policy(p)
-    p.set_defaults(func=_cmd_train)
+    p.set_defaults(func=_cmd_train, **_LEARNER_DEFAULTS)
 
     p = sub.add_parser("compare", help="compare learners on one dataset")
     p.add_argument("input")
@@ -96,7 +101,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cv", type=int, default=10, help="cross-validation folds")
     p.add_argument("--resubstitution", action="store_true",
                    help="score on the training data instead of cross-validating")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int, default=_LEARNER_DEFAULTS["seed"])
     add_policy(p)
     p.set_defaults(func=_cmd_compare)
 

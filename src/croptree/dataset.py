@@ -85,8 +85,8 @@ class Dataset:
         for inst in self.instances:
             if inst.label not in domain:
                 raise ValueError(f"label {inst.label!r} not in class domain")
-            if not inst.weight > 0:
-                raise ValueError("instance weight must be positive")
+            if not 0 < inst.weight < math.inf:
+                raise ValueError("instance weight must be positive and finite")
 
     def __len__(self) -> int:
         return len(self.instances)

@@ -18,17 +18,16 @@ on one explicit-stack walker (``walk``) so trees of any depth work.  They
 differ only in the grower's two hooks (which attributes a node scores,
 how it picks the split) and in the pruner's error estimate.
 
-Training holds the data as columns: an n×A float matrix with NaN for a
-missing value, a class-index vector and a weight vector, built once per
-tree.  A node is an array of row indices and one of weights, and numpy
-scores all its split candidates at once, every attribute and class in
-one pass.  Nodes of at most ``_SMALL_NODE`` rows are scored and split in
-plain Python instead, where numpy's cost per call outweighs the work;
-both give the same trees.  Leaf counts and branch weights are sums of
-weights whose last bits depend on the order of the additions, so every
-such sum is sequential, left to right in the node's row order
-(``np.cumsum``, ``np.bincount``), never pairwise like ``np.sum``: models
-stay byte-identical whichever path grew them.
+Training keeps every node as a list of (row index, class index, weight)
+triples and counts and partitions it in plain Python.  Only scoring a
+node's split candidates depends on its size: above ``_SMALL_NODE`` rows,
+numpy scores all of them at once over the tree's n×A matrix (NaN for a
+missing value); smaller nodes are scored in Python, where numpy's cost
+per call outweighs the work.  Both kernels choose the same splits.  The
+last bits of a sum of weights depend on the order of its additions, so
+every such sum is sequential, left to right in node order (``np.cumsum``
+and ``np.bincount`` in the kernel, never pairwise like ``np.sum``), and
+models stay byte-identical.
 
 Missing attribute values are distributed fractionally across both
 branches while training and routed to the heavier branch while
@@ -246,7 +245,13 @@ def entropy(class_counts: Sequence[float]) -> float:
 
 
 def _dataset_rows(dataset: Dataset):
+    """(features, class index, weight) rows; NaN or ±inf raises ValueError."""
     index = {c: i for i, c in enumerate(dataset.class_domain)}
+    for n, inst in enumerate(dataset.instances):
+        for v in inst.features:
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"instance {n} has a NaN or infinite feature "
+                                 "value; None marks a missing value")
     return [(inst.features, index[inst.label], inst.weight)
             for inst in dataset.instances]
 
@@ -268,6 +273,7 @@ def split_candidates(dataset: Dataset, attribute_index: int) -> List[float]:
 
 def _split_at(dataset: Dataset, attribute_index: int, threshold: float):
     """(gain, ratio) of the candidate that partitions like ``threshold``."""
+    candidates = _dataset_candidates(dataset, attribute_index)
     values = sorted({inst.features[attribute_index]
                      for inst in dataset.instances
                      if inst.features[attribute_index] is not None})
@@ -276,7 +282,7 @@ def _split_at(dataset: Dataset, attribute_index: int, threshold: float):
         raise UndefinedSplitError(
             f"threshold {threshold} puts all weight on one side of "
             f"attribute {attribute_index}")
-    return _dataset_candidates(dataset, attribute_index)[i - 1][1:]
+    return candidates[i - 1][1:]
 
 
 def info_gain(dataset: Dataset, attribute_index: int, threshold: float) -> float:
@@ -294,15 +300,14 @@ def gain_ratio(dataset: Dataset, attribute_index: int, threshold: float) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Training internals.  Rows are (features, class_index, weight) triples;
-# weights become fractional below nodes that split on an attribute some
-# instance is missing.  A node of more than _SMALL_NODE rows is a
-# ``_Block``: the training set's columns plus the node's row indices and
-# weights.  A smaller node is a plain list of rows.  Sums of weights stay
-# sequential (see the module docstring).
+# Training internals.  A node is a list of (row index, class index, weight)
+# triples in node order; weights become fractional below splits on an
+# attribute some instance is missing.  Only nodes of more than _SMALL_NODE
+# rows are scored in numpy, and sums of weights stay sequential (see the
+# module docstring).
 
-#: Nodes of at most this many rows are scored and split in pure Python,
-#: where numpy's fixed cost per call would outweigh the work.
+#: Nodes of at most this many rows are scored in pure Python, where
+#: numpy's fixed cost per call would outweigh the work.
 _SMALL_NODE = 16
 
 #: Rows × attributes, and split candidates, scored together at a node.
@@ -310,23 +315,15 @@ _BLOCK_CELLS = 2048
 
 
 class _Columns(NamedTuple):
-    """A training set as arrays, with the rows they were built from."""
+    """The rows' features and, for a root over _SMALL_NODE rows, numpy arrays."""
 
-    rows: list
-    values: np.ndarray  # n×A, NaN for a missing value
-    classes: np.ndarray
-
-
-class _Block(NamedTuple):
-    """A node of more than _SMALL_NODE rows."""
-
-    columns: _Columns
-    rows: np.ndarray  # indices into columns, in node order
-    weights: np.ndarray
+    features: list
+    values: Optional[np.ndarray]  # n×A, NaN for a missing value
+    classes: Optional[np.ndarray]
 
 
 class _Scores(NamedTuple):
-    """A block's admissible split candidates, by column, then threshold."""
+    """A node's admissible split candidates, by column, then threshold."""
 
     best: np.ndarray  # per column, its largest candidate gain or 0.0
     col: np.ndarray
@@ -336,23 +333,20 @@ class _Scores(NamedTuple):
     ratio: np.ndarray
 
 
-def _node(rows, n_attrs: int):
-    """The root node over ``rows``: the list itself, or a ``_Block``."""
+def _root(rows, n_attrs: int):
+    """The training set's columns and the root node over ``rows``."""
+    features = [feats for feats, _cls, _w in rows]
+    node = [(i, cls, w) for i, (_feats, cls, w) in enumerate(rows)]
     if len(rows) <= _SMALL_NODE:
-        return rows
-    values = np.array([feats for feats, _cls, _w in rows], dtype=float)
+        return _Columns(features, None, None), node
+    values = np.array(features, dtype=float).reshape(len(rows), n_attrs)
     classes = np.array([cls for _feats, cls, _w in rows], dtype=np.intp)
-    weights = np.array([w for _feats, _cls, w in rows], dtype=float)
-    columns = _Columns(rows, values.reshape(len(rows), n_attrs), classes)
-    return _Block(columns, np.arange(len(rows)), weights)
+    return _Columns(features, values, classes), node
 
 
 def _class_counts(node, n_classes: int) -> List[float]:
-    if isinstance(node, _Block):
-        return np.bincount(node.columns.classes[node.rows], node.weights,
-                           n_classes).tolist()
     counts = [0.0] * n_classes
-    for _feats, cls, w in node:
+    for _i, cls, w in node:
         counts[cls] += w
     return counts
 
@@ -374,22 +368,22 @@ def _attribute_candidates(rows, attr: int, n_classes: int, min_leaf: float):
     strictly increasing.  A candidate is admissible when both fractional
     branch weights reach min_leaf.
     """
-    if len(rows) <= _SMALL_NODE:
-        return _small_candidates(rows, attr, n_classes, min_leaf)
-    block = _node([((feats[attr],), cls, w) for feats, cls, w in rows], 1)
-    scores = _block_scores(block, [0], n_classes, min_leaf)
+    columns, node = _root([((feats[attr],), cls, w) for feats, cls, w in rows], 1)
+    if columns.values is None:
+        return _small_candidates(columns.features, node, 0, n_classes, min_leaf)
+    scores = _block_scores(columns, node, [0], n_classes, min_leaf)
     return float(scores.best[0]), list(zip(scores.threshold.tolist(),
                                            scores.gain.tolist(),
                                            scores.ratio.tolist()))
 
 
-def _small_candidates(rows, attr: int, n_classes: int, min_leaf: float):
+def _small_candidates(features, node, attr: int, n_classes: int, min_leaf: float):
     """``_attribute_candidates`` for a small node, one candidate at a time."""
     present = []
     miss_counts = [0.0] * n_classes
     miss_w = 0.0
-    for feats, cls, w in rows:
-        v = feats[attr]
+    for i, cls, w in node:
+        v = features[i][attr]
         if v is None:
             miss_counts[cls] += w
             miss_w += w
@@ -471,9 +465,9 @@ def _entropies(counts, totals):
     return 0.0 - _column_sums(terms)
 
 
-def _block_scores(block: _Block, attrs, n_classes: int,
+def _block_scores(columns: _Columns, node, attrs, n_classes: int,
                   min_leaf: float) -> _Scores:
-    """Every admissible candidate of the columns ``attrs`` at one block.
+    """Every admissible candidate of the columns ``attrs`` at one node.
 
     The same arithmetic as ``_small_candidates``, for all candidates of
     as many columns at once as fit in _BLOCK_CELLS rows × columns, so
@@ -482,13 +476,15 @@ def _block_scores(block: _Block, attrs, n_classes: int,
     EPS.
     """
     attrs = np.asarray(attrs, dtype=np.intp)
-    classes = block.columns.classes[block.rows]
+    rows, _classes, weights = zip(*node)
+    rows, weights = np.array(rows), np.array(weights)
+    classes = columns.classes[rows]
     active = np.flatnonzero(np.bincount(classes, minlength=n_classes))
     code = np.searchsorted(active, classes)
-    step = max(1, _BLOCK_CELLS // len(block.rows))
+    step = max(1, _BLOCK_CELLS // len(rows))
     firsts = range(0, max(len(attrs), 1), step)
-    parts = [_group_scores(block, attrs[first:first + step], code, len(active),
-                           min_leaf)
+    parts = [_group_scores(columns.values[rows, attrs[first:first + step, None]],
+                           weights, code, len(active), min_leaf)
              for first in firsts]
     for first, part in zip(firsts, parts):
         part.col[:] += first
@@ -496,15 +492,14 @@ def _block_scores(block: _Block, attrs, n_classes: int,
                                                         zip(*parts)))
 
 
-def _group_scores(block: _Block, attrs, code, k: int, min_leaf: float):
-    """``_block_scores`` for a few columns; arrays run column by sorted
-    row, or class by candidate."""
-    values = block.columns.values[block.rows, attrs[:, None]]
+def _group_scores(values, weights, code, k: int, min_leaf: float):
+    """``_block_scores`` for the few columns of ``values`` (columns × node
+    rows); arrays run column by sorted row, or class by candidate."""
     n_attrs, n = values.shape
     order = values.argsort(axis=1, kind="stable")  # NaN last; ties keep node order
     by_attr = np.arange(n_attrs)[:, None]
     v = values[by_attr, order]
-    w = block.weights[order]
+    w = weights[order]
     code = code[order]
     present = ~np.isnan(v)
     missing = ~present
@@ -558,20 +553,21 @@ def _group_scores(block: _Block, attrs, code, k: int, min_leaf: float):
     return _Scores(best, col, row, threshold, gain, ratio)
 
 
-def _evaluate(node, attrs, n_classes: int, min_leaf: float):
+def _evaluate(columns: _Columns, node, attrs, n_classes: int, min_leaf: float):
     """Each attribute's (best_gain, candidates) at ``node``, in ``attrs`` order.
 
-    A small node yields them lazily.  A block lists only the candidates a
-    chooser can take: above every earlier candidate of the same attribute
-    in gain or in gain ratio (so each attribute's first one is kept).
+    A small node yields them lazily.  A larger node lists only the
+    candidates a chooser can take: above every earlier candidate of the
+    same attribute in gain or in gain ratio (so its first one is kept).
     """
-    if not isinstance(node, _Block):
-        return (_small_candidates(node, a, n_classes, min_leaf) for a in attrs)
-    scores = _block_scores(node, attrs, n_classes, min_leaf)
+    if len(node) <= _SMALL_NODE:
+        return (_small_candidates(columns.features, node, a, n_classes, min_leaf)
+                for a in attrs)
+    scores = _block_scores(columns, node, attrs, n_classes, min_leaf)
     col, row = scores.col, scores.row
     keep = np.zeros(len(col), dtype=bool)
     for key in (scores.gain, scores.ratio):
-        prefix = np.full((len(attrs), len(node.rows)), -np.inf)
+        prefix = np.full((len(attrs), len(node)), -np.inf)
         prefix[col, row + 1] = key
         keep |= key > np.maximum.accumulate(prefix, axis=1)[col, row]
     cands = list(zip(scores.threshold[keep].tolist(), scores.gain[keep].tolist(),
@@ -581,22 +577,16 @@ def _evaluate(node, attrs, n_classes: int, min_leaf: float):
             for j, best in enumerate(scores.best.tolist())]
 
 
-def _running_sum(weights) -> float:
-    return float(weights.cumsum()[-1]) if weights.size else 0.0
-
-
-def _partition(node, attr: int, threshold: float):
+def _partition(features, node, attr: int, threshold: float):
     """The children of ``node`` split at ``attr <= threshold``.
 
     Each child has its present rows in node order, then the rows missing
     ``attr``, their weight scaled by the child's share of present weight.
     """
-    if isinstance(node, _Block):
-        return _partition_block(node, attr, threshold)
     left, right, missing = [], [], []
     lw = rw = 0.0
     for row in node:
-        v = row[0][attr]
+        v = features[row[0]][attr]
         if v is None:
             missing.append(row)
         elif v <= threshold:
@@ -607,57 +597,35 @@ def _partition(node, attr: int, threshold: float):
             rw += row[2]
     if missing:
         frac = lw / (lw + rw)
-        for feats, cls, w in missing:
+        for i, cls, w in missing:
             if frac > 0.0:
-                left.append((feats, cls, w * frac))
+                left.append((i, cls, w * frac))
             if frac < 1.0:
-                right.append((feats, cls, w * (1.0 - frac)))
+                right.append((i, cls, w * (1.0 - frac)))
     return left, right
 
 
-def _partition_block(block: _Block, attr: int, threshold: float):
-    columns, rows, weights = block
-    v = columns.values[rows, attr]
-    go_left, go_right = v <= threshold, v > threshold
-    left_w = _running_sum(weights[go_left])
-    frac = left_w / (left_w + _running_sum(weights[go_right]))
-    missing = np.isnan(v)
-    children = []
-    for side, share in ((go_left, frac), (go_right, 1.0 - frac)):
-        child_rows, child_weights = rows[side], weights[side]
-        if share > 0.0:
-            child_rows = np.concatenate((child_rows, rows[missing]))
-            child_weights = np.concatenate((child_weights,
-                                            weights[missing] * share))
-        if len(child_rows) > _SMALL_NODE:
-            children.append(_Block(columns, child_rows, child_weights))
-        else:
-            children.append([(columns.rows[i][0], columns.rows[i][1], w)
-                             for i, w in zip(child_rows.tolist(),
-                                             child_weights.tolist())])
-    return children
-
-
 def _score_all(n_attrs: int, n_classes: int, min_leaf: int):
-    def score(node, _path):
-        return list(_evaluate(node, range(n_attrs), n_classes, min_leaf))
+    def score(columns, node, _path):
+        return list(_evaluate(columns, node, range(n_attrs), n_classes, min_leaf))
     return score
 
 
 def _score_random_subset(n_attrs: int, n_classes: int, k: int, seed: int):
-    def score(node, path):
+    def score(columns, node, path):
         # The node-local stream depends only on (seed, position in the tree),
         # so sibling subtrees are independent of evaluation order.
         order = list(range(n_attrs))
         random.Random(f"{seed}:{path}").shuffle(order)
         evals = [(0.0, [])] * n_attrs
-        head = list(_evaluate(node, order[:k], n_classes, 1))
+        head = list(_evaluate(columns, node, order[:k], n_classes, 1))
         for a, ev in zip(order[:k], head):
             evals[a] = ev
         if not any(g > EPS for g, _cands in head):
             # Go on past the subset, in the node's order, up to the first
             # attribute with a positive gain.
-            for a, ev in zip(order[k:], _evaluate(node, order[k:], n_classes, 1)):
+            for a, ev in zip(order[k:], _evaluate(columns, node, order[k:],
+                                                  n_classes, 1)):
                 evals[a] = ev
                 if ev[0] > EPS:
                     break
@@ -695,18 +663,20 @@ def _choose_by_gain(evals) -> Optional[Tuple[int, float]]:
 
 
 def _grow(rows, n_attrs: int, n_classes: int, score, choose) -> Node:
-    """Grow a tree depth-first on ``walk``.
+    """Grow a tree depth-first on ``walk`` from (features, class, weight) rows.
 
-    ``score(node, path)`` gives each attribute's (best_gain, candidates),
-    (0.0, []) if unexamined; ``path`` is the node's L/R steps from the
-    root.  ``choose(evals)`` picks the (attribute, threshold) or None.
+    ``score(columns, node, path)`` gives each attribute's (best_gain,
+    candidates), (0.0, []) if unexamined; ``path`` is the node's L/R steps
+    from the root.  ``choose(evals)`` picks the (attribute, threshold) or None.
     """
+    columns, root = _root(rows, n_attrs)
+
     def expand(task):
         node, path = task
         counts = _class_counts(node, n_classes)
         choice = None
         if not _is_pure(counts):
-            evals = score(node, path)
+            evals = score(columns, node, path)
             choice = choose(evals)
             if choice is None:
                 # No informative split; still separate the node so
@@ -716,10 +686,10 @@ def _grow(rows, n_attrs: int, n_classes: int, score, choose) -> Node:
                               None)
         if choice is None:
             return Leaf(tuple(counts)), None
-        left, right = _partition(node, *choice)
+        left, right = _partition(columns.features, node, *choice)
         return choice, ((left, path + "L"), (right, path + "R"))
 
-    return walk((_node(rows, n_attrs), ""), expand,
+    return walk((root, ""), expand,
                 lambda choice, left, right: Internal(*choice, left, right))
 
 

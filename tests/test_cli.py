@@ -3,8 +3,8 @@ import io
 
 import pytest
 
-from croptree import (StationYear, pattern_for_label,
-                      write_rainfall_file)
+from croptree import (ALGORITHMS, StationYear, TrainParams, cli,
+                      pattern_for_label, train, write_rainfall_file)
 from croptree.cli import main
 from croptree.evaluation import INDICATOR_ROWS
 from support import make_stations
@@ -96,6 +96,20 @@ class TestTrain:
         assert first.read_bytes() == second.read_bytes()
         out = capsys.readouterr().out
         assert "tree size:" in out and "training accuracy:" in out
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_no_learner_flags_trains_with_default_params(
+            self, tmp_path, rain_csv, monkeypatch, algorithm):
+        seen = []
+
+        def spy(dataset, params):
+            seen.append(params)
+            return train(dataset, params)
+
+        monkeypatch.setattr(cli, "train", spy)
+        assert main(["train", rain_csv, "-o", str(tmp_path / "m.txt"),
+                     "--algorithm", algorithm]) == 0
+        assert seen == [TrainParams(algorithm)]
 
     def test_one_class_input_gives_single_leaf_model(self, tmp_path):
         records = [StationYear(f"S{i}", "R", 2013,

@@ -1,4 +1,5 @@
 import io
+import math
 from collections import Counter
 
 import pytest
@@ -231,9 +232,10 @@ def test_dataset_rejects_foreign_labels_and_bad_weights():
     with pytest.raises(ValueError):
         Dataset(MONTH_NAMES, CLASS_DOMAIN,
                 (LabeledInstance((1.0,) * 12, "Z9"),))
-    with pytest.raises(ValueError):
-        Dataset(MONTH_NAMES, CLASS_DOMAIN,
-                (LabeledInstance((1.0,) * 12, "A1", weight=0.0),))
+    for weight in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            Dataset(MONTH_NAMES, CLASS_DOMAIN,
+                    (LabeledInstance((1.0,) * 12, "A1", weight=weight),))
 
 
 def test_dataset_from_pairs_round_trips_labels():

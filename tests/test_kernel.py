@@ -17,7 +17,7 @@ from croptree import (Dataset, LabeledInstance, TrainParams, save_model,
                       train)
 from croptree import trees
 from croptree.trees import (Leaf, _attribute_candidates, _choose_by_gain,
-                            _choose_by_gain_ratio, _evaluate, _node)
+                            _choose_by_gain_ratio, _evaluate, _root)
 
 TOL = 1e-12
 
@@ -89,7 +89,7 @@ def test_block_keeps_every_choice(monkeypatch, n):
         n_classes = rng.randint(2, 14)
         rows = _random_rows(rng, n, n_attrs, n_classes)
         min_leaf = rng.choice((1, 2, 5))
-        evals = list(_evaluate(_node(rows, n_attrs), range(n_attrs),
+        evals = list(_evaluate(*_root(rows, n_attrs), range(n_attrs),
                                n_classes, min_leaf))
         ref = [reference_kernel.attribute_candidates(rows, a, n_classes,
                                                      min_leaf)

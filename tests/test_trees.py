@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -169,6 +170,22 @@ class TestTrain:
         ds = Dataset(("a",), ("X",), ())
         with pytest.raises(ValueError):
             train(ds, TrainParams("gainratio"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        # Read as a present value, NaN or ±inf yields NaN thresholds that
+        # split nothing, and growing never ends; None marks a missing value.
+        for n in (12, 40):
+            ds = _dataset([(float(i) if i % 3 else bad, "XY"[i % 2])
+                           for i in range(n)], n_attrs=1)
+            for algorithm in ("gainratio", "randomsubset", "reducederror"):
+                with pytest.raises(ValueError, match="NaN or infinite"):
+                    train(ds, TrainParams(algorithm, min_leaf=1))
+            for helper in (info_gain, gain_ratio):
+                with pytest.raises(ValueError, match="NaN or infinite"):
+                    helper(ds, 0, 4.5)
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                split_candidates(ds, 0)
 
     def test_k_larger_than_attribute_count_rejected(self):
         ds = _dataset([(1.0, 2.0, "X"), (3.0, 4.0, "Y")])
