@@ -152,22 +152,23 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def _parse_input(path: str):
-    """Parse a rainfall file, labeled or raw, naming the file in errors."""
+    """(labeled, rows) for a rainfall file, naming the file in errors;
+    rows are (record, class code) pairs when labeled, records otherwise."""
     data = _read_bytes(path)
     try:
         if sniff_labeled(data):
-            return parse_labeled_file(data)
-        return parse_rainfall_file(data)
+            return True, parse_labeled_file(data)
+        return False, parse_rainfall_file(data)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
 def _load_dataset(path: str, policy: MissingPolicy) -> Dataset:
-    parsed = _parse_input(path)
+    labeled, rows = _parse_input(path)
     try:
-        if parsed and isinstance(parsed[0], tuple):
-            return dataset_from_pairs(parsed)
-        return label_dataset(parsed, policy)
+        if labeled:
+            return dataset_from_pairs(rows)
+        return label_dataset(rows, policy)
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
@@ -207,19 +208,13 @@ def _render_comparison(table: ComparisonTable) -> str:
 
 
 def _cmd_oldeman(args) -> int:
-    parsed = _parse_input(args.input)
-    if parsed and isinstance(parsed[0], tuple):
+    labeled, records = _parse_input(args.input)
+    if labeled:
         raise DataError(f"{args.input}: already labeled; expected a raw rainfall file")
-    if not parsed:
-        raise DataError(f"{args.input}: no station rows")
-    policy = _POLICIES[args.missing_policy]
     try:
-        pairs = label_records(parsed, policy)
+        pairs = label_records(records, _POLICIES[args.missing_policy])
     except DataError as exc:
         raise DataError(f"{args.input}: {exc}") from None
-    if not pairs:
-        raise DataError(f"{args.input}: every station was skipped by the "
-                        "missing-data policy")
     b3 = _PATTERNS_BY_TEXT[args.b3_pattern]
     lines = ["station,region,year,climate_class,cropping_pattern"]
     for rec, climate in pairs:
@@ -268,11 +263,8 @@ def _cmd_recommend(args) -> int:
             or model.class_domain != CLASS_DOMAIN):
         raise DataError(f"{args.model}: model does not use the rainfall "
                         "pipeline's attribute and class domains")
-    parsed = _parse_input(args.input)
-    if parsed and isinstance(parsed[0], tuple):
-        pairs = parsed
-    else:
-        pairs = [(rec, None) for rec in parsed]
+    labeled, rows = _parse_input(args.input)
+    pairs = rows if labeled else [(rec, None) for rec in rows]
     if args.complete_only:
         pairs = [(rec, gold) for rec, gold in pairs if rec.complete]
     if not pairs:
@@ -280,7 +272,6 @@ def _cmd_recommend(args) -> int:
     b3 = _PATTERNS_BY_TEXT[args.b3_pattern]
     lines = ["station,region,climate_class,cropping_pattern,data_status"]
     correct = 0
-    labeled = all(gold is not None for _rec, gold in pairs)
     for rec, gold in pairs:
         prediction = predict(model, rec.rainfall)
         pattern = pattern_for_label(prediction.predicted_class, b3)

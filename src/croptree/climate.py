@@ -3,7 +3,8 @@
 The Oldeman method classifies a station-year from the longest consecutive
 runs of wet and dry months.  A month is wet at >= 200 mm rainfall, dry
 below 100 mm, moist in between.  The letter (A..E) follows the wet run,
-the subtype digit (1..4) the dry run:
+the subtype digit (1..4) the dry run, by this table (in code,
+_LETTER_BY_WET_RUN and _SUBTYPE_BY_DRY_RUN, indexed by run length):
 
     wet run   >=9 -> A   7-8 -> B   5-6 -> C   3-4 -> D   0-2 -> E
     dry run   0-1 -> 1   2-3 -> 2   4-6 -> 3   >=7 -> 4
@@ -138,26 +139,9 @@ def run_summary(categories: Sequence[MonthCategory]) -> RunSummary:
     return RunSummary(longest[MonthCategory.WET], longest[MonthCategory.DRY])
 
 
-def _letter(wet_run: int) -> str:
-    if wet_run >= 9:
-        return "A"
-    if wet_run >= 7:
-        return "B"
-    if wet_run >= 5:
-        return "C"
-    if wet_run >= 3:
-        return "D"
-    return "E"
-
-
-def _subtype(dry_run: int) -> int:
-    if dry_run <= 1:
-        return 1
-    if dry_run <= 3:
-        return 2
-    if dry_run <= 6:
-        return 3
-    return 4
+#: Oldeman's table (module docstring), indexed by the longest run, 0..12.
+_LETTER_BY_WET_RUN = "EEEDDCCBBAAAA"
+_SUBTYPE_BY_DRY_RUN = (1, 1, 2, 2, 3, 3, 3, 4, 4, 4, 4, 4, 4)
 
 
 def classify_oldeman(
@@ -183,8 +167,8 @@ def classify_oldeman(
         except DataError as exc:
             raise DataError(f"{MONTH_NAMES[month]}: {exc}") from None
     runs = run_summary(categories)
-    return ClimateType(_letter(runs.longest_wet_run),
-                       _subtype(runs.longest_dry_run))
+    return ClimateType(_LETTER_BY_WET_RUN[runs.longest_wet_run],
+                       _SUBTYPE_BY_DRY_RUN[runs.longest_dry_run])
 
 
 _BASE_PATTERNS = {

@@ -11,6 +11,7 @@ comments.  A labeled file appends a trailing `climate_class` column.
 Labeling attaches an Oldeman class to every station-year.  Features keep
 their missing slots as missing even when the label was computed under the
 zero-fill policy; the tree learners route missing values explicitly.
+`label_records` alone rejects input with nothing to label.
 """
 
 from __future__ import annotations
@@ -82,7 +83,11 @@ class Dataset:
 
     def __post_init__(self):
         domain = set(self.class_domain)
+        width = len(self.attribute_names)
         for inst in self.instances:
+            if len(inst.features) != width:
+                raise ValueError(f"instance has {len(inst.features)} features, "
+                                 f"expected {width}")
             if inst.label not in domain:
                 raise ValueError(f"label {inst.label!r} not in class domain")
             if not 0 < inst.weight < math.inf:
@@ -123,22 +128,27 @@ def _parse_cell(cell: str, lineno: int, station: str, month: int) -> Optional[fl
     return value
 
 
+def _content_lines(text: str):
+    """(line number, line without its CR) of each non-blank, non-comment line."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.rstrip("\r")
+        if line.strip() and not line.lstrip().startswith("#"):
+            yield lineno, line
+
+
 def _parse_rows(text: str, labeled: bool):
     expected = LABELED_HEADER if labeled else RAINFALL_HEADER
     n_cols = 16 if labeled else 15
-    header_seen = False
+    lines = _content_lines(text)
+    lineno, header = next(lines, (0, None))
+    if header is None:
+        raise DataError("missing header line")
+    if header.strip() != expected:
+        raise DataError(
+            f"line {lineno}: malformed header, expected {expected!r}")
     seen: dict = {}
     out = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if not header_seen:
-            if line.strip() != expected:
-                raise DataError(
-                    f"line {lineno}: malformed header, expected {expected!r}")
-            header_seen = True
-            continue
+    for lineno, line in lines:
         cells = line.split(",")
         if len(cells) != n_cols:
             raise DataError(
@@ -169,8 +179,6 @@ def _parse_rows(text: str, labeled: bool):
             out.append((record, label))
         else:
             out.append(record)
-    if not header_seen:
-        raise DataError("missing header line")
     return out
 
 
@@ -186,12 +194,8 @@ def parse_labeled_file(source: Union[str, bytes, IO]) -> List[Tuple[StationYear,
 
 def sniff_labeled(source: Union[str, bytes, IO]) -> bool:
     """True when the first content line is the labeled-file header."""
-    for raw in _read_text(source).split("\n"):
-        line = raw.rstrip("\r").strip()
-        if not line or line.startswith("#"):
-            continue
-        return line == LABELED_HEADER
-    return False
+    _lineno, header = next(_content_lines(_read_text(source)), (0, ""))
+    return header.strip() == LABELED_HEADER
 
 
 def write_rainfall_file(records: Iterable[StationYear]) -> str:
@@ -213,21 +217,24 @@ def label_records(
     """Classify each record, applying the missing-data policy.
 
     SKIP_STATION drops records with missing months; ERROR raises a
-    DataError naming the station and month.
+    DataError naming the station and month.  No records, or none left
+    after skipping, is a DataError.
     """
+    if not records:
+        raise DataError("no station records to label")
     out = []
     for rec in records:
         try:
             climate = classify_oldeman(rec.rainfall, policy)
-        except MissingMonthError as exc:
-            if policy is MissingPolicy.SKIP_STATION:
+        except DataError as exc:
+            if (isinstance(exc, MissingMonthError)
+                    and policy is MissingPolicy.SKIP_STATION):
                 continue
             raise DataError(
                 f"station {rec.station_id!r} year {rec.year}: {exc}") from None
-        except DataError as exc:
-            raise DataError(
-                f"station {rec.station_id!r} year {rec.year}: {exc}") from None
         out.append((rec, climate))
+    if not out:
+        raise DataError("all stations were skipped by the missing-data policy")
     return out
 
 
@@ -238,14 +245,10 @@ def label_dataset(
     """Build a labeled dataset over the fixed 14-class Oldeman domain.
 
     Features keep missing slots; only the label computation applies the
-    missing-data policy.
+    missing-data policy.  Raises DataError as label_records does.
     """
-    if not records:
-        raise DataError("no station records to label")
-    labeled = label_records(records, policy)
-    if not labeled:
-        raise DataError("all stations were skipped by the missing-data policy")
-    return dataset_from_pairs([(rec, climate.label) for rec, climate in labeled])
+    return dataset_from_pairs([(rec, climate.label)
+                               for rec, climate in label_records(records, policy)])
 
 
 def dataset_from_pairs(pairs: Sequence[Tuple[StationYear, str]]) -> Dataset:

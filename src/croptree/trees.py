@@ -29,9 +29,10 @@ every such sum is sequential, left to right in node order (``np.cumsum``
 and ``np.bincount`` in the kernel, never pairwise like ``np.sum``), and
 models stay byte-identical.
 
-Missing attribute values are distributed fractionally across both
-branches while training and routed to the heavier branch while
-predicting, so every input receives a definite class.
+Missing attribute values (None; NaN and ±inf are errors) are distributed
+fractionally across both branches while training.  A trained tree routes
+them by one rule, ``_goes_left``, to the heavier branch, in prediction and
+pruning alike, so every input receives a definite class.
 
 Tie-breaking is pinned everywhere: lowest attribute index first, then
 smallest threshold, and class ties resolve to the earliest class-domain
@@ -244,14 +245,19 @@ def entropy(class_counts: Sequence[float]) -> float:
     return h
 
 
+def _check_finite(features, owner: str) -> None:
+    """None marks a missing value; NaN or ±inf raises ValueError."""
+    for v in features:
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{owner} has a NaN or infinite feature value; "
+                             "None marks a missing value")
+
+
 def _dataset_rows(dataset: Dataset):
     """(features, class index, weight) rows; NaN or ±inf raises ValueError."""
     index = {c: i for i, c in enumerate(dataset.class_domain)}
     for n, inst in enumerate(dataset.instances):
-        for v in inst.features:
-            if v is not None and not math.isfinite(v):
-                raise ValueError(f"instance {n} has a NaN or infinite feature "
-                                 "value; None marks a missing value")
+        _check_finite(inst.features, f"instance {n}")
     return [(inst.features, index[inst.label], inst.weight)
             for inst in dataset.instances]
 
@@ -749,17 +755,18 @@ def _holdout_errors(leaf: Leaf, hold_rows) -> float:
     return sum(w for _feats, cls, w in hold_rows if cls != leaf.predicted_index)
 
 
+def _goes_left(node: Internal, value: Optional[float]) -> bool:
+    """A missing value follows the heavier child (ties go left); a value
+    equal to the threshold goes left."""
+    if value is None:
+        return node.left.weight >= node.right.weight
+    return value <= node.threshold
+
+
 def _route_holdout(node: Internal, hold_rows):
     left, right = [], []
-    left_on_missing = node.left.weight >= node.right.weight
     for row in hold_rows:
-        v = row[0][node.attribute]
-        if v is None:
-            (left if left_on_missing else right).append(row)
-        elif v <= node.threshold:
-            left.append(row)
-        else:
-            right.append(row)
+        (left if _goes_left(node, row[0][node.attribute]) else right).append(row)
     return left, right
 
 
@@ -812,21 +819,16 @@ def train(dataset: Dataset, params: TrainParams) -> DecisionTree:
 def predict(tree: DecisionTree, features: Sequence[Optional[float]]) -> Prediction:
     """Route a feature vector to a leaf and normalize its distribution.
 
-    A missing attribute follows the branch with the larger training
-    weight (ties go left); a value equal to the threshold goes left.
+    Routing follows ``_goes_left``.  None marks a missing value; NaN or
+    ±inf raises ValueError, as in training.
     """
     if len(features) != len(tree.attribute_names):
         raise ValueError(
             f"expected {len(tree.attribute_names)} features, got {len(features)}")
+    _check_finite(features, "the feature vector")
     node = tree.root
     while isinstance(node, Internal):
-        v = features[node.attribute]
-        if v is None:
-            node = node.left if node.left.weight >= node.right.weight else node.right
-        elif v <= node.threshold:
-            node = node.left
-        else:
-            node = node.right
+        node = node.left if _goes_left(node, features[node.attribute]) else node.right
     total = node.weight
     if total > 0.0:
         distribution = tuple(c / total for c in node.counts)

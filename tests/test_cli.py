@@ -76,6 +76,27 @@ class TestOldeman:
         _, rows = _read_csv(out)
         assert [r[0] for r in rows] == ["A"]
 
+    @pytest.mark.parametrize("case", ["all-skipped", "labeled"])
+    def test_unusable_input_names_the_file(self, tmp_path, capsys, case):
+        records = [StationYear("A", "R", 2013, (250.0,) * 11 + (None,)),
+                   StationYear("B", "R", 2013, (None,) * 12)]
+        header, *rows = write_rainfall_file(records).splitlines()
+        if case == "labeled":
+            text = "\n".join([header + ",climate_class"]
+                              + [row + ",A1" for row in rows]) + "\n"
+            reason = "already labeled; expected a raw rainfall file"
+        else:
+            text = "\n".join([header] + rows) + "\n"
+            reason = "all stations were skipped by the missing-data policy"
+        src = tmp_path / "in.csv"
+        src.write_text(text, encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["oldeman", str(src), "-o", str(out),
+                     "--missing-policy", "skip"]) == 2
+        assert capsys.readouterr().err == f"error: {src}: {reason}\n"
+        assert not out.exists()
+        assert not list(tmp_path.glob("out.csv.*"))
+
     def test_missing_policy_error(self, tmp_path):
         records = [StationYear("B", "R", 2013, (250.0,) * 11 + (None,))]
         src = tmp_path / "two.csv"

@@ -100,11 +100,20 @@ def _rainfall_for_runs(wet, dry):
     return [250.0] * wet + [50.0] * dry + [150.0] * (12 - wet - dry)
 
 
+def _docstring_code(wet, dry):
+    """The code the climate module docstring's thresholds give."""
+    letter = ("A" if wet >= 9 else "B" if wet >= 7 else "C" if wet >= 5
+              else "D" if wet >= 3 else "E")
+    subtype = 1 if dry <= 1 else 2 if dry <= 3 else 3 if dry <= 6 else 4
+    return f"{letter}{subtype}"
+
+
 def test_totality_over_all_reachable_run_pairs():
     codes = set()
     for wet in range(13):
         for dry in range(13 - wet):
             climate = classify_oldeman(_rainfall_for_runs(wet, dry))
+            assert climate.code == _docstring_code(wet, dry), (wet, dry)
             codes.add(climate.code)
             assert climate.label in CLASS_DOMAIN
             assert isinstance(cropping_pattern(climate), CroppingPattern)

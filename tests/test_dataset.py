@@ -88,6 +88,14 @@ class TestParsing:
                 + "X,R,2013," + ",".join(["250"] * 12) + ",A1\n")
         assert sniff_labeled(text)
         assert not sniff_labeled(SAMPLE)
+        # The kind comes from the first line that is not blank or a
+        # comment, whatever the line ends.
+        lead = "# a comment\n\n   \n  # indented comment\n"
+        for body in (text, SAMPLE):
+            for source in (lead + body, (lead + body).replace("\n", "\r\n")):
+                assert sniff_labeled(source) == (body is text)
+                assert sniff_labeled(source.encode()) == (body is text)
+        assert not sniff_labeled("# only a comment\r\n\r\n")
         pairs = parse_labeled_file(text)
         assert pairs[0][1] == "A1"
 
@@ -96,6 +104,18 @@ class TestParsing:
                 + "X,R,2013," + ",".join(["250"] * 12) + ",Z9\n")
         with pytest.raises(DataError, match="unknown climate class"):
             parse_labeled_file(text)
+
+
+@pytest.mark.parametrize("names,width,n", [
+    (("a", "b"), 1, 4),    # small root: the Python kernel indexes each name
+    (("a", "b"), 1, 40),   # large root: numpy shapes an n x names matrix
+    (("a",), 2, 4),        # wider rows would train on the first feature only
+], ids=["narrow-4-rows", "narrow-40-rows", "wide"])
+def test_feature_width_must_match_attribute_names(names, width, n):
+    instances = tuple(LabeledInstance((float(i),) * width, "XY"[i % 2])
+                      for i in range(n))
+    with pytest.raises(ValueError, match=f"{width} features, expected {len(names)}"):
+        Dataset(names, ("X", "Y"), instances)
 
 
 def test_roundtrip_parse_write_parse(stations75):
@@ -129,8 +149,9 @@ class TestLabeling:
         assert dataset.instances[0].provenance_id == "X:2013"
 
     def test_empty_records_rejected(self):
-        with pytest.raises(DataError):
-            label_dataset([])
+        for label in (label_records, label_dataset):
+            with pytest.raises(DataError, match="no station records to label"):
+                label([])
 
     def test_features_keep_missing_slots_under_zero_fill(self):
         rainfall = list((250.0,) * 12)
@@ -154,8 +175,10 @@ class TestLabeling:
 
     def test_all_skipped_is_an_error(self):
         gappy = StationYear("B", "R", 2013, (None,) * 12)
-        with pytest.raises(DataError):
-            label_dataset([gappy], MissingPolicy.SKIP_STATION)
+        other = StationYear("C", "R", 2013, (250.0,) * 11 + (None,))
+        for label in (label_records, label_dataset):
+            with pytest.raises(DataError, match="all stations were skipped"):
+                label([gappy, other], MissingPolicy.SKIP_STATION)
 
 
 def _tiny_dataset(labels, region="R"):

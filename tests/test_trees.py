@@ -1,17 +1,21 @@
 import itertools
 import math
+import pathlib
 import random
 
 import pytest
 
 import oracle
-from croptree import (Dataset, DecisionTree, LabeledInstance, TrainParams,
-                      UndefinedSplitError, entropy, gain_ratio, info_gain,
-                      predict, split_candidates, train, tree_size)
+from croptree import (CLASS_DOMAIN, Dataset, DecisionTree, LabeledInstance,
+                      TrainParams, UndefinedSplitError, entropy, gain_ratio,
+                      info_gain, load_model, predict, split_candidates, train,
+                      tree_size)
 from croptree.trees import (Internal, Leaf, _attribute_candidates,
                             _dataset_rows, _grow_max_gain,
                             _reduced_error_prune, _upper_error_estimate)
 from support import random_consistent_dataset, random_dataset
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 def _dataset(rows, n_attrs=2, classes=("X", "Y", "Z")):
@@ -284,6 +288,20 @@ class TestPredict:
     def test_wrong_arity_rejected(self):
         with pytest.raises(ValueError):
             predict(self._tree(), (1.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_rejected(self, bad):
+        # NaN fails every <= test and would silently go right; None is the
+        # only missing value, as in training.
+        golden = load_model((GOLDEN_DIR / "gainratio.model").read_bytes())
+        rows = [(bad,) * 12, (None,) * 11 + (bad,), (bad,) + (250.0,) * 11]
+        for features in rows:
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                predict(golden, features)
+        for features in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                predict(self._tree(), features)
+        assert predict(golden, (None,) * 12).predicted_class in CLASS_DOMAIN
 
 
 class TestPruning:
