@@ -8,8 +8,9 @@ partial output behind.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import contextlib
 import os
+import pathlib
 import sys
 import tempfile
 from typing import List, Optional
@@ -25,19 +26,6 @@ from .evaluation import INDICATOR_ROWS, ComparisonTable, compare
 from .model_io import load_model, save_model
 from .trees import (ALGORITHMS, PARAM_FIELDS, TrainParams, predict, train,
                     tree_size)
-
-_POLICIES = {
-    "zerofill": MissingPolicy.ZERO_FILL,
-    "skip": MissingPolicy.SKIP_STATION,
-    "error": MissingPolicy.ERROR,
-}
-
-_PATTERNS_BY_TEXT = {p.value: p for p in CroppingPattern}
-
-#: The learner flags' defaults are TrainParams' own.
-_LEARNER_DEFAULTS = {f.name: f.default for f in dataclasses.fields(TrainParams)
-                     if f.default is not dataclasses.MISSING}
-
 
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1; argparse's default of 2 is reserved for data errors
@@ -62,12 +50,12 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_policy(p):
-        p.add_argument("--missing-policy", choices=sorted(_POLICIES),
-                       default="zerofill",
+        p.add_argument("--missing-policy", default="zerofill",
+                       choices=sorted(m.value for m in MissingPolicy),
                        help="how to treat missing months when labeling")
 
     def add_b3(p):
-        p.add_argument("--b3-pattern", choices=sorted(_PATTERNS_BY_TEXT),
+        p.add_argument("--b3-pattern", choices=sorted(c.value for c in CroppingPattern),
                        default=DEFAULT_B3_PATTERN.value,
                        help="cropping pattern to use for the B3 climate class")
 
@@ -78,7 +66,9 @@ def _build_parser() -> _Parser:
     add_b3(p)
     p.set_defaults(func=_cmd_oldeman)
 
-    p = sub.add_parser("train", help="train a decision tree on labeled rainfall data")
+    # Learner flags left out never reach ``args``: TrainParams has the defaults.
+    p = sub.add_parser("train", help="train a decision tree on labeled rainfall data",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True, help="model file to write")
     p.add_argument("--algorithm", choices=ALGORITHMS, required=True)
@@ -91,7 +81,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--prune-folds", type=int)
     p.add_argument("--seed", type=int)
     add_policy(p)
-    p.set_defaults(func=_cmd_train, **_LEARNER_DEFAULTS)
+    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("compare", help="compare learners on one dataset")
     p.add_argument("input")
@@ -101,7 +91,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--cv", type=int, default=10, help="cross-validation folds")
     p.add_argument("--resubstitution", action="store_true",
                    help="score on the training data instead of cross-validating")
-    p.add_argument("--seed", type=int, default=_LEARNER_DEFAULTS["seed"])
+    p.add_argument("--seed", type=int, default=TrainParams.seed)
     add_policy(p)
     p.set_defaults(func=_cmd_compare)
 
@@ -116,61 +106,56 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_bytes(path: str) -> bytes:
+@contextlib.contextmanager
+def _naming(path: str, verb: str = "read"):
+    """Prefix each DataError raised inside with ``path``; an OSError becomes one."""
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
+        yield
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
+        raise DataError(f"cannot {verb} {path}: {exc.strerror or exc}") from None
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory,
-                               prefix=os.path.basename(path) + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
+def _atomic_write(path: str, data: bytes) -> None:
+    with _naming(path, "write"):
+        directory = os.path.dirname(os.path.abspath(path))
+        fd, tmp = tempfile.mkstemp(dir=directory,
+                                   prefix=os.path.basename(path) + ".", suffix=".tmp")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _atomic_write(path: str, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
 
 def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _atomic_write(path, text)
+        _atomic_write(path, text.encode("utf-8"))
 
 
 def _parse_input(path: str):
-    """(labeled, rows) for a rainfall file, naming the file in errors;
-    rows are (record, class code) pairs when labeled, records otherwise."""
-    data = _read_bytes(path)
-    try:
-        if sniff_labeled(data):
-            return True, parse_labeled_file(data)
-        return False, parse_rainfall_file(data)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    """(labeled, rows) for a rainfall file; rows are (record, class code)
+    pairs when labeled, records otherwise.  Callers name the file."""
+    data = pathlib.Path(path).read_bytes()
+    if sniff_labeled(data):
+        return True, parse_labeled_file(data)
+    return False, parse_rainfall_file(data)
 
 
 def _load_dataset(path: str, policy: MissingPolicy) -> Dataset:
-    labeled, rows = _parse_input(path)
-    try:
+    with _naming(path):
+        labeled, rows = _parse_input(path)
         if labeled:
             return dataset_from_pairs(rows)
         return label_dataset(rows, policy)
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from None
 
 
 def _csv_field(text: str) -> str:
@@ -208,31 +193,39 @@ def _render_comparison(table: ComparisonTable) -> str:
 
 
 def _cmd_oldeman(args) -> int:
-    labeled, records = _parse_input(args.input)
-    if labeled:
-        raise DataError(f"{args.input}: already labeled; expected a raw rainfall file")
-    try:
-        pairs = label_records(records, _POLICIES[args.missing_policy])
-    except DataError as exc:
-        raise DataError(f"{args.input}: {exc}") from None
-    b3 = _PATTERNS_BY_TEXT[args.b3_pattern]
+    with _naming(args.input):
+        labeled, records = _parse_input(args.input)
+        if labeled:
+            raise DataError("already labeled; expected a raw rainfall file")
+        pairs = label_records(records, MissingPolicy(args.missing_policy))
+    b3 = CroppingPattern(args.b3_pattern)
     lines = ["station,region,year,climate_class,cropping_pattern"]
     for rec, climate in pairs:
         pattern = cropping_pattern(climate, b3)
         lines.append(f"{_csv_field(rec.station_id)},{_csv_field(rec.region)},"
                      f'{rec.year},{climate.label},"{pattern.display}"')
-    _atomic_write(args.output, "\n".join(lines) + "\n")
+    _atomic_write(args.output, ("\n".join(lines) + "\n").encode("utf-8"))
     dataset = dataset_from_pairs([(rec, c.label) for rec, c in pairs])
     sys.stdout.write(_render_count_table(count_by_type_region(dataset)))
     return 0
 
 
+def _train_params(args) -> TrainParams:
+    """The learner flags given, each of which must apply to the algorithm."""
+    given = {name: value for name, value in vars(args).items()
+             if any(name in fields for fields in PARAM_FIELDS.values())}
+    for name in given:
+        if name not in PARAM_FIELDS[args.algorithm]:
+            flag = "--no-prune" if name == "prune" else "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} does not apply to {args.algorithm}")
+    return TrainParams(args.algorithm, **given)
+
+
 def _cmd_train(args) -> int:
-    dataset = _load_dataset(args.input, _POLICIES[args.missing_policy])
-    params = TrainParams(args.algorithm, **{
-        name: getattr(args, name) for name in PARAM_FIELDS[args.algorithm]})
+    params = _train_params(args)
+    dataset = _load_dataset(args.input, MissingPolicy(args.missing_policy))
     model = train(dataset, params)
-    _atomic_write_bytes(args.output, save_model(model))
+    _atomic_write(args.output, save_model(model))
     correct = sum(predict(model, inst.features).predicted_class == inst.label
                   for inst in dataset.instances)
     print(f"tree size: {tree_size(model)}")
@@ -247,7 +240,7 @@ def _cmd_compare(args) -> int:
     learners = [TrainParams(name, seed=args.seed) for name in names]
     if not args.resubstitution and args.cv < 2:
         raise ValueError("cross-validation needs at least 2 folds")
-    dataset = _load_dataset(args.input, _POLICIES[args.missing_policy])
+    dataset = _load_dataset(args.input, MissingPolicy(args.missing_policy))
     table = compare(learners, dataset, k=args.cv, seed=args.seed,
                     resubstitution=args.resubstitution)
     _emit(_render_comparison(table), args.output)
@@ -255,21 +248,20 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_recommend(args) -> int:
-    try:
-        model = load_model(_read_bytes(args.model))
-    except DataError as exc:
-        raise DataError(f"{args.model}: {exc}") from None
-    if (model.attribute_names != MONTH_NAMES
-            or model.class_domain != CLASS_DOMAIN):
-        raise DataError(f"{args.model}: model does not use the rainfall "
-                        "pipeline's attribute and class domains")
-    labeled, rows = _parse_input(args.input)
-    pairs = rows if labeled else [(rec, None) for rec in rows]
-    if args.complete_only:
-        pairs = [(rec, gold) for rec, gold in pairs if rec.complete]
-    if not pairs:
-        raise DataError(f"{args.input}: no stations to classify")
-    b3 = _PATTERNS_BY_TEXT[args.b3_pattern]
+    with _naming(args.model):
+        model = load_model(pathlib.Path(args.model).read_bytes())
+        if (model.attribute_names != MONTH_NAMES
+                or model.class_domain != CLASS_DOMAIN):
+            raise DataError("model does not use the rainfall "
+                            "pipeline's attribute and class domains")
+    with _naming(args.input):
+        labeled, rows = _parse_input(args.input)
+        pairs = rows if labeled else [(rec, None) for rec in rows]
+        if args.complete_only:
+            pairs = [(rec, gold) for rec, gold in pairs if rec.complete]
+        if not pairs:
+            raise DataError("no stations to classify")
+    b3 = CroppingPattern(args.b3_pattern)
     lines = ["station,region,climate_class,cropping_pattern,data_status"]
     correct = 0
     for rec, gold in pairs:

@@ -128,15 +128,17 @@ def run_summary(categories: Sequence[MonthCategory]) -> RunSummary:
     """
     if len(categories) != 12:
         raise ValueError(f"expected 12 month categories, got {len(categories)}")
-    longest = {MonthCategory.WET: 0, MonthCategory.DRY: 0}
-    current = 0
+    wet, dry = MonthCategory.WET, MonthCategory.DRY
+    longest_wet = longest_dry = current = 0
     previous: Optional[MonthCategory] = None
     for cat in categories:
         current = current + 1 if cat is previous else 1
         previous = cat
-        if cat in longest and current > longest[cat]:
-            longest[cat] = current
-    return RunSummary(longest[MonthCategory.WET], longest[MonthCategory.DRY])
+        if cat is wet and current > longest_wet:
+            longest_wet = current
+        elif cat is dry and current > longest_dry:
+            longest_dry = current
+    return RunSummary(longest_wet, longest_dry)
 
 
 #: Oldeman's table (module docstring), indexed by the longest run, 0..12.

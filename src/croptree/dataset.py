@@ -199,11 +199,23 @@ def sniff_labeled(source: Union[str, bytes, IO]) -> bool:
 
 
 def write_rainfall_file(records: Iterable[StationYear]) -> str:
-    """Serialize records back into the rainfall file grammar."""
+    """Serialize records back into the rainfall file grammar.
+
+    ValueError, naming the station, for a record that would not read back
+    the same: a comma, line feed or surrounding whitespace in the station
+    or region, a station id starting with '#', or rainfall below zero or
+    not finite.  An inner CR is kept.
+    """
     lines = [RAINFALL_HEADER]
     for rec in records:
-        if "," in rec.station_id or "," in rec.region:
-            raise ValueError("station/region text may not contain commas")
+        if rec.station_id.startswith("#") or any(
+                "," in text or "\n" in text or text != text.strip()
+                for text in (rec.station_id, rec.region)):
+            raise ValueError(f"station {rec.station_id!r}: station or region "
+                             "text would not read back the same")
+        if not all(v is None or (math.isfinite(v) and v >= 0) for v in rec.rainfall):
+            raise ValueError(f"station {rec.station_id!r}: rainfall must be "
+                             "nonnegative and finite")
         cells = [rec.station_id, rec.region, str(rec.year)]
         cells += ["" if v is None else format_number(v) for v in rec.rainfall]
         lines.append(",".join(cells))

@@ -16,7 +16,7 @@ distribution follows in braces (class order, nonzero entries only) so a
 loaded tree reproduces not just the predicted classes but the predicted
 probability distributions exactly.  A tree that is a single leaf has a
 one-line body such as ``: C3 (10/2) {B2:2,C3:8}``.  Saving and loading
-use explicit stacks, not recursion, so trees of any depth round-trip.
+run on ``trees.walk``, not recursion, so trees of any depth round-trip.
 """
 
 from __future__ import annotations
@@ -55,16 +55,10 @@ def _params_text(params: TrainParams, n_attributes: int) -> str:
     return " ".join(fields)
 
 
-def _leaf_errors(counts: Sequence[float], weight: float) -> float:
-    return max(weight - max(counts), 0.0) if counts else 0.0
-
-
 def _leaf_text(leaf: Leaf, class_domain: Sequence[str]) -> str:
-    weight = leaf.weight
-    errors = _leaf_errors(leaf.counts, weight)
     text = (f": {class_domain[leaf.predicted_index]} "
-            f"({format_number(weight)}/{format_number(errors)})")
-    if errors > 0.0:
+            f"({format_number(leaf.weight)}/{format_number(leaf.errors)})")
+    if leaf.errors > 0.0:
         entries = ",".join(
             f"{cls}:{format_number(count)}"
             for cls, count in zip(class_domain, leaf.counts) if count > 0.0)
@@ -82,21 +76,21 @@ def save_model(tree: DecisionTree) -> bytes:
         "params: " + _params_text(tree.params, len(tree.attribute_names)),
         "tree:",
     ]
-    # Pre-order over (node, its branch line, depth of its children's lines);
+    # ``walk`` expands (node, its branch line, its children's depth) in pre-order;
     # the root has no branch line, so a root leaf prints only its leaf text.
-    stack = [(tree.root, "", 0)]
-    while stack:
-        node, head, depth = stack.pop()
+    def expand(task):
+        node, head, depth = task
         if isinstance(node, Leaf):
             lines.append(head + _leaf_text(node, tree.class_domain))
-            continue
+            return None, None
         if head:
             lines.append(head)
-        indent = "|   " * depth
-        for op, child in ((">", node.right), ("<=", node.left)):
-            head = (f"{indent}{tree.attribute_names[node.attribute]} {op} "
-                    f"{format_number(node.threshold)}")
-            stack.append((child, head, depth + 1))
+        attr = "|   " * depth + tree.attribute_names[node.attribute]
+        threshold = format_number(node.threshold)
+        return None, ((node.left, f"{attr} <= {threshold}", depth + 1),
+                      (node.right, f"{attr} > {threshold}", depth + 1))
+
+    walk((tree.root, "", 0), expand, lambda *_: None)
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -137,7 +131,7 @@ def _parse_leaf(text: str, lineno: int, class_domain: Tuple[str, ...]) -> Leaf:
     else:
         counts[class_domain.index(cls)] = weight
     leaf = Leaf(tuple(counts))
-    if leaf.weight != weight or _leaf_errors(counts, weight) != errors:
+    if leaf.weight != weight or leaf.errors != errors:
         raise ModelFormatError(lineno, "leaf weight/errors do not match distribution")
     if class_domain[leaf.predicted_index] != cls:
         raise ModelFormatError(lineno, f"class {cls!r} is not the leaf majority")

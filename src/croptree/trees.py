@@ -13,10 +13,12 @@ leaf carries the per-class training weight it received.
 * ``reducederror`` grows on part of the data by information gain and
   prunes bottom-up against the held-out remainder.
 
-The learners share one split kernel, one grower and one pruner, all run
-on one explicit-stack walker (``walk``) so trees of any depth work.  They
+The learners share one split kernel, one grower and one pruner.  They
 differ only in the grower's two hooks (which attributes a node scores,
-how it picks the split) and in the pruner's error estimate.
+how it picks the split) and in the pruner's error estimate, which starts
+from ``Leaf.errors``.  Every whole-tree traversal (growing, pruning,
+sizing, equality, hashing, saving, loading) runs on ``walk``, one
+explicit-stack walker, so trees of any depth work.
 
 Training keeps every node as a list of (row index, class index, weight)
 triples and counts and partitions it in plain Python.  Only scoring a
@@ -132,6 +134,11 @@ class Leaf:
                 best = i
         return best
 
+    @cached_property
+    def errors(self) -> float:
+        """Training weight outside the predicted class."""
+        return max(self.weight - max(self.counts), 0.0) if self.counts else 0.0
+
 
 @dataclass(frozen=True)
 class Internal:
@@ -148,36 +155,27 @@ class Internal:
         object.__setattr__(self, "counts", tuple(
             a + b for a, b in zip(self.left.counts, self.right.counts)))
 
-    # Equality, hashing and repr walk no deeper than the Python stack
-    # allows: the first two on an explicit stack, repr not at all.
+    # Depth-safe: equality and hashing run on ``walk``; repr does not descend.
 
     def __eq__(self, other):
         if not isinstance(other, Internal):
             return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
+
+        def expand(pair):
+            a, b = pair
             if a is b:
-                continue
+                return True, None
             if not (isinstance(a, Internal) and isinstance(b, Internal)):
-                if a != b:
-                    return False
-            elif a.attribute != b.attribute or a.threshold != b.threshold:
-                return False
-            else:
-                stack += ((a.right, b.right), (a.left, b.left))
-        return True
+                return a == b, None
+            if a.attribute != b.attribute or a.threshold != b.threshold:
+                return False, None
+            return None, ((a.left, b.left), (a.right, b.right))
+        return walk((self, other), expand, lambda _, left, right: left and right)
 
     def __hash__(self):
-        parts, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Internal):
-                parts.append((node.attribute, node.threshold))
-                stack += (node.right, node.left)
-            else:
-                parts.append(node)
-        return hash(tuple(parts))
+        return walk(self, lambda n: (hash(n), None) if isinstance(n, Leaf) else
+                    ((n.attribute, n.threshold), (n.left, n.right)),
+                    lambda test, left, right: hash((test, left, right)))
 
     def __repr__(self):
         def brief(child):
@@ -704,19 +702,17 @@ def _grow_max_gain(rows, n_attrs: int, n_classes: int, min_leaf: int) -> Node:
                  _score_all(n_attrs, n_classes, min_leaf), _choose_by_gain)
 
 
-def _upper_error_estimate(counts, confidence_factor: float) -> float:
+def _upper_error_estimate(leaf: Leaf, confidence_factor: float) -> float:
     """Pessimistic error count: weight times the binomial upper bound.
 
     The bound U solves P[Binomial(n, U) <= e] = CF, evaluated through the
     regularized incomplete beta inverse, which also covers fractional
     counts from missing-value weighting.
     """
-    n = sum(counts)
+    n = leaf.weight
     if n <= 0.0:
         return 0.0
-    e = n - max(counts)
-    if e < 0.0:
-        e = 0.0
+    e = leaf.errors
     if e >= n:
         return n
     return n * float(betaincinv(e + 1.0, n - e, 1.0 - confidence_factor))
@@ -800,7 +796,7 @@ def train(dataset: Dataset, params: TrainParams) -> DecisionTree:
         if params.prune:
             cf = params.confidence_factor
             root, _estimate = _prune(
-                root, lambda leaf, _ctx: _upper_error_estimate(leaf.counts, cf),
+                root, lambda leaf, _ctx: _upper_error_estimate(leaf, cf),
                 lambda _node, _ctx: (None, None), None)
     elif params.algorithm == "randomsubset":
         k = params.resolved_k(n_attrs)

@@ -151,9 +151,57 @@ class TestTrain:
         assert code == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("algorithm, flags", [
+        ("reducederror", ["--no-prune"]),
+        ("gainratio", ["--k", "3"]),
+        ("randomsubset", ["--min-leaf", "50"]),
+    ])
+    def test_flag_of_another_learner_is_usage_error(self, tmp_path, rain_csv,
+                                                    capsys, algorithm, flags):
+        out = tmp_path / "model.txt"
+        argv = ["-o", str(out), "--algorithm", algorithm] + flags
+        assert main(["train", rain_csv] + argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flags[0]} does not apply to {algorithm}\n")
+        assert not out.exists()
+        # checked before the input is read
+        assert main(["train", str(tmp_path / "nope.csv")] + argv) == 1
+
+    def test_k_auto_is_the_default(self, tmp_path, rain_csv):
+        auto, default = tmp_path / "auto.txt", tmp_path / "default.txt"
+        argv = ["train", rain_csv, "--algorithm", "randomsubset", "-o"]
+        assert main(argv + [str(auto), "--k", "auto"]) == 0
+        assert main(argv + [str(default)]) == 0
+        assert auto.read_bytes() == default.read_bytes()
+
+    def test_k_not_a_number_is_usage_error(self, tmp_path, rain_csv, capsys):
+        assert main(["train", rain_csv, "-o", str(tmp_path / "m.txt"),
+                     "--algorithm", "randomsubset", "--k", "x"]) == 1
+        assert "k must be an integer or 'auto', got 'x'" in capsys.readouterr().err
+
     def test_unknown_algorithm_is_usage_error(self, tmp_path, rain_csv):
         assert main(["train", rain_csv, "-o", str(tmp_path / "m.txt"),
                      "--algorithm", "c5"]) == 1
+
+    def test_missing_policy_error_names_the_file(self, tmp_path, capsys):
+        records = [StationYear("A", "R", 2013, (250.0,) * 12),
+                   StationYear("B", "R", 2013, (250.0,) * 11 + (None,))]
+        src = tmp_path / "gaps.csv"
+        src.write_text(write_rainfall_file(records), encoding="utf-8")
+        out = tmp_path / "m.txt"
+        assert main(["train", str(src), "-o", str(out), "--algorithm",
+                     "gainratio", "--missing-policy", "error"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {src}: station 'B' year 2013: missing rainfall for dec\n")
+        assert not out.exists()
+
+    def test_header_only_labeled_file_is_data_error(self, tmp_path, capsys):
+        from croptree.dataset import LABELED_HEADER
+        src = tmp_path / "labeled.csv"
+        src.write_text(LABELED_HEADER + "\n", encoding="utf-8")
+        assert main(["train", str(src), "-o", str(tmp_path / "m.txt"),
+                     "--algorithm", "gainratio"]) == 2
+        assert capsys.readouterr().err == f"error: {src}: no labeled records\n"
 
     def test_labeled_input_trains_directly(self, tmp_path, rain_csv):
         labels = tmp_path / "labeled.csv"
@@ -253,6 +301,10 @@ class TestCompare:
     def test_unknown_algorithm_rejected(self, rain_csv):
         assert main(["compare", rain_csv, "--algorithms", "gainratio,c5"]) == 1
 
+    def test_no_algorithm_named_is_usage_error(self, rain_csv, capsys):
+        assert main(["compare", rain_csv, "--algorithms", ","]) == 1
+        assert capsys.readouterr().err == "error: no algorithms requested\n"
+
 
 class TestRecommend:
     @pytest.fixture()
@@ -313,6 +365,18 @@ class TestRecommend:
         out = capsys.readouterr().out
         assert "holdout accuracy:" in out
 
+    def test_complete_only_with_every_station_gappy(self, tmp_path, model_txt,
+                                                    capsys):
+        records = [StationYear("GAPPY", "R", 2014, (250.0,) * 11 + (None,)),
+                   StationYear("EMPTY", "R", 2014, (None,) * 12)]
+        src = tmp_path / "gaps.csv"
+        src.write_text(write_rainfall_file(records), encoding="utf-8")
+        out = tmp_path / "recs.csv"
+        assert main(["recommend", model_txt, str(src), "-o", str(out),
+                     "--complete-only"]) == 2
+        assert capsys.readouterr().err == f"error: {src}: no stations to classify\n"
+        assert not out.exists()
+
     def test_foreign_model_domain_is_data_error(self, tmp_path, rain_csv):
         import random as _random
 
@@ -338,6 +402,25 @@ class TestUsage:
         assert main(["--help"]) == 0
         assert "oldeman" in capsys.readouterr().out
 
-    def test_missing_input_file(self, tmp_path):
+    def test_missing_input_file(self, tmp_path, capsys):
         assert main(["oldeman", str(tmp_path / "nope.csv"),
                      "-o", str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read {tmp_path / 'nope.csv'}: No such file or directory\n")
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_unwritable_output_is_data_error(self, tmp_path, rain_csv, capsys,
+                                             command):
+        if command == "train":
+            out = tmp_path / "a_directory"
+            out.mkdir()
+            argv = ["train", rain_csv, "--algorithm", "gainratio", "-o", str(out)]
+        else:
+            out = tmp_path / "missing" / "t.csv"
+            argv = ["compare", rain_csv, "--cv", "2", "-o", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        reason = "Is a directory" if command == "train" else "No such file or directory"
+        assert err == f"error: cannot write {out}: {reason}\n"
+        assert "Traceback" not in err
+        assert not list(tmp_path.rglob("*.tmp"))

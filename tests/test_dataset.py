@@ -1,5 +1,6 @@
 import io
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -128,9 +129,26 @@ def test_roundtrip_parse_write_parse(stations75):
     assert write_rainfall_file(reparsed) == text
 
 
-def test_write_rejects_embedded_commas():
-    record = StationYear("a,b", "R", 2013, (1.0,) * 12)
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("station, region, december", [
+    pytest.param("a,b", "R", 1.0, id="comma-in-station"),
+    pytest.param("A", "R,S", 1.0, id="comma-in-region"),
+    pytest.param("A\nB", "R", 1.0, id="line-feed-in-station"),
+    pytest.param("A", "R\nS", 1.0, id="line-feed-in-region"),
+    pytest.param(" A", "R", 1.0, id="leading-space-in-station"),
+    pytest.param("A ", "R", 1.0, id="trailing-space-in-station"),
+    pytest.param("A\r", "R", 1.0, id="trailing-cr-in-station"),
+    pytest.param("A", " R", 1.0, id="leading-space-in-region"),
+    pytest.param("A", "R\t", 1.0, id="trailing-tab-in-region"),
+    pytest.param("#A", "R", 1.0, id="station-reads-as-comment"),
+    pytest.param("A", "R", -5.0, id="negative-rainfall"),
+    pytest.param("A", "R", math.inf, id="infinite-rainfall"),
+    pytest.param("A", "R", -math.inf, id="minus-infinite-rainfall"),
+    pytest.param("A", "R", math.nan, id="nan-rainfall"),
+])
+def test_write_rejects_embedded_commas(station, region, december):
+    # each record would not read back the same, so writing names its station
+    record = StationYear(station, region, 2013, (1.0,) * 11 + (december,))
+    with pytest.raises(ValueError, match=re.escape(f"station {station!r}")):
         write_rainfall_file([record])
 
 

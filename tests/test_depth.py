@@ -89,20 +89,27 @@ def test_deep_tree_round_trips(trained, name):
 
 
 def _rebuild(node, changed=None):
-    """A separately built copy of ``node``; the leaf ``changed`` gets
-    one more unit of weight in each class."""
+    """A separately built copy of ``node``; the node ``changed`` gets one
+    more unit of weight in each class (a leaf) or of threshold."""
     def expand(n):
         if isinstance(n, Leaf):
             return Leaf(tuple(c + (n is changed) for c in n.counts)), None
         return n, (n.left, n.right)
 
     return walk(node, expand, lambda n, left, right: Internal(
-        n.attribute, n.threshold, left, right))
+        n.attribute, n.threshold + (n is changed), left, right))
 
 
 def _bottom_leaf(node):
     """A leaf at the end of the chain of internal nodes below ``node``."""
     while isinstance(node, Internal):
+        node = node.right if isinstance(node.right, Internal) else node.left
+    return node
+
+
+def _bottom_internal(node):
+    """The last internal node of the chain below ``node``."""
+    while isinstance(node.left, Internal) or isinstance(node.right, Internal):
         node = node.right if isinstance(node.right, Internal) else node.left
     return node
 
@@ -117,6 +124,9 @@ def test_deep_tree_compares_hashes_and_reprs(trained, max_gain_root, name):
     assert copy == root
     assert hash(copy) == hash(root)
     assert _rebuild(root, changed=_bottom_leaf(root)) != root
+    deep = _bottom_internal(root)
+    assert deep is not root and _depth(deep) == 1
+    assert _rebuild(root, changed=deep) != root
     assert repr(root).startswith(
         f"Internal(attribute=0, threshold={root.threshold!r}, left=")
     assert repr(root).count("Internal(") <= 3

@@ -309,17 +309,23 @@ class TestPruning:
         # zero observed errors: bound is n * (1 - cf**(1/n))
         n = 10.0
         expected = n * (1.0 - 0.25 ** (1.0 / n))
-        assert _upper_error_estimate((10.0, 0.0), 0.25) == \
+        assert _upper_error_estimate(Leaf((10.0, 0.0)), 0.25) == \
             pytest.approx(expected, abs=1e-12)
-        assert _upper_error_estimate((0.0, 0.0), 0.25) == 0.0
+        assert _upper_error_estimate(Leaf((0.0, 0.0)), 0.25) == 0.0
 
     def test_estimate_exceeds_observed_errors(self):
         rng = random.Random(23)
         for _ in range(100):
             good = rng.uniform(0.5, 30)
             bad = rng.uniform(0, good)  # majority stays with `good`
-            estimate = _upper_error_estimate((good, bad), 0.25)
+            estimate = _upper_error_estimate(Leaf((good, bad)), 0.25)
             assert estimate >= bad - 1e-9
+
+    def test_leaf_errors_is_weight_outside_the_predicted_class(self):
+        assert Leaf((3.0, 1.5, 0.5)).errors == 2.0
+        assert Leaf((0.0, 4.0)).errors == 0.0
+        assert Leaf((0.0, 0.0)).errors == 0.0
+        assert Leaf(()).errors == 0.0
 
     def test_noise_collapses_to_single_leaf(self):
         # labels independent of a constant-ish attribute: prune to a leaf
