@@ -15,17 +15,24 @@ import sys
 import tempfile
 from typing import List, Optional
 
+import numpy as np
+
 from .climate import (CLASS_DOMAIN, MONTH_NAMES, CroppingPattern,
-                      DEFAULT_B3_PATTERN, MissingPolicy, cropping_pattern,
-                      pattern_for_label)
-from .dataset import (Dataset, count_by_type_region, dataset_from_pairs,
+                      DEFAULT_B3_PATTERN, MissingPolicy, pattern_for_label)
+from .dataset import (CountTable, Dataset, RainfallTable, count_table,
+                      dataset_from_table, label_table, parse_table)
+# Not called here: perfbench/spans.py wraps these names in this module.
+from .dataset import (count_by_type_region, dataset_from_pairs,  # noqa: F401
                       label_dataset, label_records, parse_labeled_file,
-                      parse_rainfall_file, sniff_labeled, CountTable)
+                      parse_rainfall_file, sniff_labeled)
 from .errors import DataError
 from .evaluation import INDICATOR_ROWS, ComparisonTable, compare
 from .model_io import load_model, save_model
-from .trees import (ALGORITHMS, PARAM_FIELDS, TrainParams, predict, train,
+from .trees import (ALGORITHMS, PARAM_FIELDS, TrainParams, predict_rows, train,
                     tree_size)
+# Not called here either; spans.py wraps it as well.
+from .trees import predict  # noqa: F401
+
 
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1; argparse's default of 2 is reserved for data errors
@@ -141,21 +148,14 @@ def _emit(text: str, path: Optional[str]) -> None:
         _atomic_write(path, text.encode("utf-8"))
 
 
-def _parse_input(path: str):
-    """(labeled, rows) for a rainfall file; rows are (record, class code)
-    pairs when labeled, records otherwise.  Callers name the file."""
-    data = pathlib.Path(path).read_bytes()
-    if sniff_labeled(data):
-        return True, parse_labeled_file(data)
-    return False, parse_rainfall_file(data)
+def _read_table(path: str) -> RainfallTable:
+    """The rainfall file at ``path``, raw or labeled; callers name the file."""
+    return parse_table(pathlib.Path(path).read_bytes())
 
 
 def _load_dataset(path: str, policy: MissingPolicy) -> Dataset:
     with _naming(path):
-        labeled, rows = _parse_input(path)
-        if labeled:
-            return dataset_from_pairs(rows)
-        return label_dataset(rows, policy)
+        return dataset_from_table(_read_table(path), policy)
 
 
 def _csv_field(text: str) -> str:
@@ -192,21 +192,27 @@ def _render_comparison(table: ComparisonTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _pattern_texts(args) -> dict:
+    """Cropping-pattern display text by class code, under ``--b3-pattern``."""
+    b3 = CroppingPattern(args.b3_pattern)
+    return {label: pattern_for_label(label, b3).display for label in CLASS_DOMAIN}
+
+
 def _cmd_oldeman(args) -> int:
     with _naming(args.input):
-        labeled, records = _parse_input(args.input)
-        if labeled:
+        table = _read_table(args.input)
+        if table.labels is not None:
             raise DataError("already labeled; expected a raw rainfall file")
-        pairs = label_records(records, MissingPolicy(args.missing_policy))
-    b3 = CroppingPattern(args.b3_pattern)
+        rows, types = label_table(table, MissingPolicy(args.missing_policy))
+    patterns = _pattern_texts(args)
+    labels = [climate.label for climate in types]
+    regions = [table.regions[i] for i in rows]
     lines = ["station,region,year,climate_class,cropping_pattern"]
-    for rec, climate in pairs:
-        pattern = cropping_pattern(climate, b3)
-        lines.append(f"{_csv_field(rec.station_id)},{_csv_field(rec.region)},"
-                     f'{rec.year},{climate.label},"{pattern.display}"')
+    for i, label, region in zip(rows, labels, regions):
+        lines.append(f"{_csv_field(table.stations[i])},{_csv_field(region)},"
+                     f'{table.years[i]},{label},"{patterns[label]}"')
     _atomic_write(args.output, ("\n".join(lines) + "\n").encode("utf-8"))
-    dataset = dataset_from_pairs([(rec, c.label) for rec, c in pairs])
-    sys.stdout.write(_render_count_table(count_by_type_region(dataset)))
+    sys.stdout.write(_render_count_table(count_table(labels, regions)))
     return 0
 
 
@@ -226,8 +232,9 @@ def _cmd_train(args) -> int:
     dataset = _load_dataset(args.input, MissingPolicy(args.missing_policy))
     model = train(dataset, params)
     _atomic_write(args.output, save_model(model))
-    correct = sum(predict(model, inst.features).predicted_class == inst.label
-                  for inst in dataset.instances)
+    predicted = predict_rows(model, [inst.features for inst in dataset.instances])
+    correct = sum(model.class_domain[c] == inst.label
+                  for c, inst in zip(predicted.tolist(), dataset.instances))
     print(f"tree size: {tree_size(model)}")
     print(f"training accuracy: {100.0 * correct / len(dataset):.2f}%")
     return 0
@@ -255,27 +262,27 @@ def _cmd_recommend(args) -> int:
             raise DataError("model does not use the rainfall "
                             "pipeline's attribute and class domains")
     with _naming(args.input):
-        labeled, rows = _parse_input(args.input)
-        pairs = rows if labeled else [(rec, None) for rec in rows]
-        if args.complete_only:
-            pairs = [(rec, gold) for rec, gold in pairs if rec.complete]
-        if not pairs:
+        table = _read_table(args.input)
+        complete = table.complete
+        rows = (np.flatnonzero(complete) if args.complete_only
+                else np.arange(len(table)))
+        if not rows.size:
             raise DataError("no stations to classify")
-    b3 = CroppingPattern(args.b3_pattern)
+    predicted = [model.class_domain[c]
+                 for c in predict_rows(model, table.rainfall[rows]).tolist()]
+    patterns = _pattern_texts(args)
+    status = ("incomplete", "complete")
+    complete = complete.tolist()
+    rows = rows.tolist()
     lines = ["station,region,climate_class,cropping_pattern,data_status"]
-    correct = 0
-    for rec, gold in pairs:
-        prediction = predict(model, rec.rainfall)
-        pattern = pattern_for_label(prediction.predicted_class, b3)
-        status = "complete" if rec.complete else "incomplete"
-        lines.append(f"{_csv_field(rec.station_id)},{_csv_field(rec.region)},"
-                     f'{prediction.predicted_class},"{pattern.display}",{status}')
-        if labeled and prediction.predicted_class == gold:
-            correct += 1
+    for i, label in zip(rows, predicted):
+        lines.append(f"{_csv_field(table.stations[i])},{_csv_field(table.regions[i])},"
+                     f'{label},"{patterns[label]}",{status[complete[i]]}')
     _emit("\n".join(lines) + "\n", args.output)
-    if labeled:
-        print(f"holdout accuracy: {100.0 * correct / len(pairs):.2f}% "
-              f"({correct}/{len(pairs)})")
+    if table.labels is not None:
+        correct = sum(label == table.labels[i] for i, label in zip(rows, predicted))
+        print(f"holdout accuracy: {100.0 * correct / len(rows):.2f}% "
+              f"({correct}/{len(rows)})")
     return 0
 
 

@@ -13,6 +13,13 @@ E subtypes are conventionally collapsed to a single "E" class in reports,
 which is also how the 14-entry class domain used by the dataset layer is
 built (see CLASS_DOMAIN).
 
+``classify_rows`` labels a whole n×12 matrix at once: wet and dry masks,
+then the longest run of each per row in 12 column steps, read through
+the table above.  ``classify_oldeman`` is its one-row case and
+``run_summary`` uses the same run counter, so the rules live in one
+place.  A missing month is marked by its own mask, never by the value
+in its cell, so a NaN handed in as rainfall stays an invalid value.
+
 Everything in this module is a pure function over immutable values.
 """
 
@@ -21,7 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import DataError, MissingMonthError
 
@@ -120,6 +129,20 @@ def categorize_month(rainfall: float) -> MonthCategory:
     return MonthCategory.MOIST
 
 
+def _longest_runs(months: np.ndarray) -> np.ndarray:
+    """Per row of an n×12 boolean matrix, its longest run of True months.
+
+    Runs do not wrap from December back into January.
+    """
+    run = np.zeros(len(months), dtype=np.intp)
+    longest = np.zeros_like(run)
+    for column in months.T:
+        run += 1
+        run *= column
+        np.maximum(longest, run, out=longest)
+    return longest
+
+
 def run_summary(categories: Sequence[MonthCategory]) -> RunSummary:
     """Longest consecutive wet and dry runs over a 12-month sequence.
 
@@ -128,22 +151,86 @@ def run_summary(categories: Sequence[MonthCategory]) -> RunSummary:
     """
     if len(categories) != 12:
         raise ValueError(f"expected 12 month categories, got {len(categories)}")
-    wet, dry = MonthCategory.WET, MonthCategory.DRY
-    longest_wet = longest_dry = current = 0
-    previous: Optional[MonthCategory] = None
-    for cat in categories:
-        current = current + 1 if cat is previous else 1
-        previous = cat
-        if cat is wet and current > longest_wet:
-            longest_wet = current
-        elif cat is dry and current > longest_dry:
-            longest_dry = current
-    return RunSummary(longest_wet, longest_dry)
+    wet, dry = _longest_runs(np.array([
+        [cat is MonthCategory.WET for cat in categories],
+        [cat is MonthCategory.DRY for cat in categories]])).tolist()
+    return RunSummary(wet, dry)
 
 
 #: Oldeman's table (module docstring), indexed by the longest run, 0..12.
 _LETTER_BY_WET_RUN = "EEEDDCCBBAAAA"
 _SUBTYPE_BY_DRY_RUN = (1, 1, 2, 2, 3, 3, 3, 4, 4, 4, 4, 4, 4)
+
+#: The ClimateType of each (longest wet run, longest dry run) pair.
+_TYPE_BY_RUNS = np.array([[ClimateType(letter, subtype)
+                           for subtype in _SUBTYPE_BY_DRY_RUN]
+                          for letter in _LETTER_BY_WET_RUN], dtype=object)
+
+
+class RowError(DataError):
+    """The first row of a batch that cannot be classified.
+
+    ``row`` indexes it; ``reason`` is what ``classify_oldeman`` raises for
+    that row alone, and the message is the reason's.
+    """
+
+    def __init__(self, row: int, reason: DataError):
+        super().__init__(str(reason))
+        self.row = row
+        self.reason = reason
+
+
+def rainfall_matrix(rows: Sequence[Sequence[Optional[float]]]
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """(n×12 float64 rainfall, n×12 missing mask) of rows of 12 values.
+
+    None marks a missing month.  Every other value is kept as it is, so a
+    NaN or a negative value reaches ``classify_rows`` as an invalid one.
+    """
+    missing = np.array([[v is None for v in row] for row in rows], dtype=bool)
+    return (np.array(rows, dtype=np.float64).reshape(-1, 12),
+            missing.reshape(-1, 12))
+
+
+def classify_rows(
+    rainfall: np.ndarray,
+    missing: np.ndarray,
+    policy: MissingPolicy = MissingPolicy.ZERO_FILL,
+) -> List[Optional[ClimateType]]:
+    """The Oldeman type of each row of an n×12 rainfall matrix (mm).
+
+    ``missing`` marks the missing months; their cells are not read.
+    ZERO_FILL counts a missing month as 0 mm, SKIP_STATION gives its row
+    None.  Each row is checked in month order, and RowError names the
+    first row that fails: an invalid value (not finite, or negative)
+    before any missing month, or, under ERROR, any missing month.
+    """
+    invalid = ~(missing | ((rainfall >= 0) & (rainfall < math.inf)))
+    problem = invalid if policy is MissingPolicy.ZERO_FILL else invalid | missing
+    rows = np.flatnonzero(problem.any(axis=1))
+    if rows.size:
+        months = problem[rows].argmax(axis=1)
+        refused = missing[rows, months]  # dropped under SKIP_STATION
+        fatal = np.ones_like(refused) if policy is MissingPolicy.ERROR else ~refused
+        if fatal.any():
+            k = int(fatal.argmax())
+            row, month = int(rows[k]), int(months[k])
+            if missing[row, month]:
+                reason = MissingMonthError(
+                    month, f"missing rainfall for {MONTH_NAMES[month]}")
+            else:
+                try:
+                    categorize_month(float(rainfall[row, month]))
+                except DataError as exc:
+                    reason = DataError(f"{MONTH_NAMES[month]}: {exc}")
+            raise RowError(row, reason)
+    values = np.where(missing, 0.0, rainfall)
+    # Wet rows, then dry rows: one pass of 12 column steps counts both.
+    runs = _longest_runs(np.concatenate((values >= WET_THRESHOLD_MM,
+                                         values < DRY_THRESHOLD_MM)))
+    types = _TYPE_BY_RUNS[runs[:len(values)], runs[len(values):]]
+    types[rows] = None  # refused by SKIP_STATION; no rows under the others
+    return types.tolist()
 
 
 def classify_oldeman(
@@ -157,20 +244,14 @@ def classify_oldeman(
     """
     if len(rainfall) != 12:
         raise ValueError(f"expected 12 monthly values, got {len(rainfall)}")
-    categories = []
-    for month, value in enumerate(rainfall):
-        if value is None:
-            if policy is not MissingPolicy.ZERO_FILL:
-                raise MissingMonthError(
-                    month, f"missing rainfall for {MONTH_NAMES[month]}")
-            value = 0.0
-        try:
-            categories.append(categorize_month(value))
-        except DataError as exc:
-            raise DataError(f"{MONTH_NAMES[month]}: {exc}") from None
-    runs = run_summary(categories)
-    return ClimateType(_LETTER_BY_WET_RUN[runs.longest_wet_run],
-                       _SUBTYPE_BY_DRY_RUN[runs.longest_dry_run])
+    # One row: SKIP_STATION refuses it by raising, as ERROR does.
+    if policy is MissingPolicy.SKIP_STATION:
+        policy = MissingPolicy.ERROR
+    try:
+        [climate] = classify_rows(*rainfall_matrix([rainfall]), policy)
+    except RowError as exc:
+        raise exc.reason from None
+    return climate
 
 
 _BASE_PATTERNS = {

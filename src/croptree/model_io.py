@@ -66,8 +66,28 @@ def _leaf_text(leaf: Leaf, class_domain: Sequence[str]) -> str:
     return text
 
 
+#: What the grammar splits on, so no attribute or class name may hold it.
+_NAME_BREAK_RE = re.compile(r"[\s,:{}|]")
+
+
+def _check_names(kind: str, names: Sequence[str]) -> None:
+    for name in names:
+        if not name or _NAME_BREAK_RE.search(name):
+            raise ValueError(f"{kind} name {name!r} cannot be saved: a name is "
+                             "nonempty, without whitespace or any of , : { } |")
+    if len(set(names)) != len(names):
+        raise ValueError(f"{kind} names must be distinct to be saved")
+
+
 def save_model(tree: DecisionTree) -> bytes:
-    """Serialize a trained tree to canonical UTF-8 bytes."""
+    """Serialize a trained tree to canonical UTF-8 bytes.
+
+    ValueError for an attribute or class name that would not load back
+    the same: an empty or repeated name, or one holding whitespace or any
+    of ``, : { } |``.
+    """
+    _check_names("attribute", tree.attribute_names)
+    _check_names("class", tree.class_domain)
     lines = [
         _MAGIC,
         f"algorithm: {tree.params.algorithm}",

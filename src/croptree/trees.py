@@ -36,6 +36,12 @@ fractionally across both branches while training.  A trained tree routes
 them by one rule, ``_goes_left``, to the heavier branch, in prediction and
 pruning alike, so every input receives a definite class.
 
+``predict`` routes one feature vector.  ``predict_rows`` routes a whole
+n×A matrix (NaN marks a missing value there): it flattens the tree into
+arrays of attribute, threshold, children, leaf class and each node's
+missing-value direction (from ``_goes_left``), then moves every row down
+one level per step, so it gives ``predict``'s class for each row.
+
 Tie-breaking is pinned everywhere: lowest attribute index first, then
 smallest threshold, and class ties resolve to the earliest class-domain
 entry.  Training is a deterministic function of (dataset, params); all
@@ -832,6 +838,71 @@ def predict(tree: DecisionTree, features: Sequence[Optional[float]]) -> Predicti
         uniform = 1.0 / len(tree.class_domain)
         distribution = tuple(uniform for _ in tree.class_domain)
     return Prediction(tree.class_domain[node.predicted_index], distribution)
+
+
+class _FlatTree(NamedTuple):
+    """A tree as parallel arrays over its nodes, numbered in pre-order."""
+
+    attribute: np.ndarray  # -1 at a leaf
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    missing_left: np.ndarray  # where a missing value goes: _goes_left
+    leaf_class: np.ndarray  # a leaf's predicted class index
+
+
+def _flatten(root: Node) -> _FlatTree:
+    nodes: List[Node] = []
+    left: List[int] = []
+    right: List[int] = []
+
+    def expand(node):
+        here = len(nodes)
+        nodes.append(node)
+        left.append(here)
+        right.append(here)
+        return here, None if isinstance(node, Leaf) else (node.left, node.right)
+
+    def join(here, left_child, right_child):
+        left[here], right[here] = left_child, right_child
+        return here
+
+    walk(root, expand, join)
+    pairs = [(node, isinstance(node, Internal)) for node in nodes]
+    return _FlatTree(
+        np.array([n.attribute if i else -1 for n, i in pairs], dtype=np.intp),
+        np.array([n.threshold if i else 0.0 for n, i in pairs]),
+        np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+        np.array([i and _goes_left(n, None) for n, i in pairs], dtype=bool),
+        np.array([0 if i else n.predicted_index for n, i in pairs], dtype=np.intp))
+
+
+def predict_rows(tree: DecisionTree, features) -> np.ndarray:
+    """The class-domain index ``predict`` gives each row of an n×A matrix.
+
+    NaN marks a missing value; ±inf raises ValueError.  The tree is
+    flattened into arrays and every row descends one level per step.
+    """
+    values = np.asarray(features, dtype=np.float64)
+    width = len(tree.attribute_names)
+    if values.ndim != 2 or values.shape[1] != width:
+        raise ValueError(f"expected an n×{width} feature matrix, "
+                         f"got shape {values.shape}")
+    if np.isinf(values).any():
+        raise ValueError("the feature matrix has an infinite value; "
+                         "NaN marks a missing value")
+    flat = _flatten(tree.root)
+    node = np.zeros(len(values), dtype=np.intp)
+    rows = np.arange(len(values))
+    while rows.size:
+        at = node[rows]
+        inner = flat.attribute[at] >= 0
+        rows, at = rows[inner], at[inner]
+        value = values[rows, flat.attribute[at]]
+        goes_left = np.where(np.isnan(value), flat.missing_left[at],
+                             value <= flat.threshold[at])
+        node[rows] = np.where(goes_left, flat.left[at], flat.right[at])
+    return flat.leaf_class[node]
 
 
 def tree_size(tree: Union[DecisionTree, Node]) -> int:

@@ -2,18 +2,23 @@ import io
 import math
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from croptree import (CLASS_DOMAIN, DataError, Dataset, LabeledInstance,
-                      MONTH_NAMES, MissingPolicy, StationYear,
+                      MONTH_NAMES, MissingPolicy, StationYear, classify_oldeman,
                       complete_subset, count_by_type_region,
                       dataset_from_pairs, label_dataset, label_records,
                       parse_labeled_file, parse_rainfall_file,
                       stratified_folds, write_rainfall_file)
-from croptree.dataset import LABELED_HEADER, RAINFALL_HEADER, sniff_labeled
+from croptree import dataset as dataset_module
+from croptree.dataset import (LABELED_HEADER, RAINFALL_HEADER, dataset_from_table,
+                              label_table, parse_table, sniff_labeled)
+
+import reference_parser
 
 HEADER = "station,region,year,jan,feb,mar,apr,may,jun,jul,aug,sep,oct,nov,dec"
 
@@ -152,6 +157,15 @@ def test_write_rejects_embedded_commas(station, region, december):
         write_rainfall_file([record])
 
 
+def test_write_rejects_a_repeated_station_year():
+    # the parser would reject the second record as a duplicate
+    records = [StationYear("A", "R", 2013, (1.0,) * 12),
+               StationYear("A", "S", 2013, (2.0,) * 12)]
+    with pytest.raises(ValueError, match=re.escape("station 'A' year 2013")):
+        write_rainfall_file(records)
+    assert len(parse_rainfall_file(write_rainfall_file(records[:1]))) == 1
+
+
 class TestLabeling:
     def test_count_preservation_and_domain(self, stations75, dataset75):
         assert len(dataset75) == len(stations75) == 75
@@ -190,6 +204,24 @@ class TestLabeling:
         gappy = StationYear("Gappy", "R", 2013, (250.0,) * 11 + (None,))
         with pytest.raises(DataError, match="'Gappy'.*dec"):
             label_dataset([gappy], MissingPolicy.ERROR)
+
+    @pytest.mark.parametrize("policy", list(MissingPolicy))
+    def test_nan_rainfall_is_invalid_not_missing(self, policy):
+        # The table marks a missing month with NaN; a NaN in a record is
+        # still an invalid value, under every policy.
+        complete = StationYear("A", "R", 2013, (250.0,) * 12)
+        nan = StationYear("N", "R", 2013, (250.0,) * 7 + (math.nan,) + (250.0,) * 4)
+        message = "aug: rainfall must be finite, got nan"
+        with pytest.raises(DataError,
+                           match=re.escape(f"station 'N' year 2013: {message}")):
+            label_records([complete, nan], policy)
+        with pytest.raises(DataError, match=re.escape(message)):
+            classify_oldeman(nan.rainfall, policy)
+        # A missing month before the NaN comes first: SKIP_STATION drops the row.
+        gap_first = StationYear("G", "R", 2013, (None, math.nan) + (250.0,) * 10)
+        if policy is MissingPolicy.SKIP_STATION:
+            assert label_records([gap_first, complete], policy) == [
+                (complete, classify_oldeman(complete.rainfall))]
 
     def test_all_skipped_is_an_error(self):
         gappy = StationYear("B", "R", 2013, (None,) * 12)
@@ -301,18 +333,15 @@ _LABELED_LINES = [LABELED_HEADER] + [
         ("C3", "B2", "A1"))
 ]
 
-_LINE_MUTATIONS = ("drop", "duplicate", "swap", "truncate", "rewrite")
+_LINE_MUTATIONS = ("drop", "duplicate", "swap", "truncate", "rewrite", "repeat")
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_mutated_rainfall_csv_parses_or_raises_data_error(data):
-    """Rainfall files, plain or labeled, with a column dropped or
+def _mutate(data, lines):
+    """One to three mutations of a file's lines: a column dropped or
     duplicated (in every line or in one, header included), two characters
-    of a line swapped, a line cut short, or one cell rewritten, either
-    parse, and then label, or raise DataError; never any other exception."""
-    labeled = data.draw(st.booleans())
-    lines = list(_LABELED_LINES if labeled else _PLAIN_LINES)
+    of a line swapped, a line cut short, one cell rewritten, or one line
+    repeated over another."""
+    lines = list(lines)
     for _ in range(data.draw(st.integers(1, 3))):
         kind = data.draw(st.sampled_from(_LINE_MUTATIONS))
         every_line = kind in ("drop", "duplicate") and data.draw(st.booleans())
@@ -336,9 +365,20 @@ def test_mutated_rainfall_csv_parses_or_raises_data_error(data):
                 chars = list(line)
                 chars[a], chars[b] = chars[b], chars[a]
                 lines[k] = "".join(chars)
+            elif kind == "repeat":
+                lines[k] = lines[data.draw(st.integers(0, len(lines) - 1))]
             else:
                 lines[k] = line[:data.draw(st.integers(0, len(line)))]
-    text = "\n".join(lines) + "\n"
+    return lines
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_rainfall_csv_parses_or_raises_data_error(data):
+    """Mutated rainfall files, plain or labeled, either parse, and then
+    label, or raise DataError; never any other exception."""
+    labeled = data.draw(st.booleans())
+    text = "\n".join(_mutate(data, _LABELED_LINES if labeled else _PLAIN_LINES)) + "\n"
     try:
         if labeled:
             records = [record for record, _label in parse_labeled_file(text)]
@@ -347,3 +387,181 @@ def test_mutated_rainfall_csv_parses_or_raises_data_error(data):
         label_records(records)
     except DataError:
         pass
+
+
+def _long_lines(labeled, n_rows):
+    """A clean file of n_rows rows, each station once, made from the
+    sample rows: complete, missing August, and missing February (with a
+    CRLF line end in the raw file)."""
+    lines = list(_LABELED_LINES if labeled else _PLAIN_LINES)
+    header, rows = lines[0], [ln for ln in lines[1:] if "," in ln]
+    out = [header, "# comment line"]
+    for k in range(n_rows):
+        station, rest = rows[k % len(rows)].split(",", 1)
+        out.append(f"{station}{k},{rest}")
+        if k % 4 == 1:
+            out.append("")
+    return out
+
+
+def _coded(records, labeled_pairs):
+    """(record index, Oldeman code) of each labeled record."""
+    index = {id(rec): i for i, rec in enumerate(records)}
+    return [(index[id(rec)], code) for rec, code in labeled_pairs]
+
+
+def _outcome(text, labeled, policy):
+    """What the library makes of a file under one missing-data policy:
+    ((records, labels), Oldeman codes), with a DataError's text in place
+    of what raised it.  The table path (parse_table, label_table) must
+    give the same."""
+    policy = MissingPolicy(policy)
+    try:
+        if labeled:
+            pairs = parse_labeled_file(text)
+            records, labels = [rec for rec, _ in pairs], [lab for _, lab in pairs]
+        else:
+            records, labels = parse_rainfall_file(text), None
+    except DataError as exc:
+        result = ("error", str(exc)), None
+    else:
+        assert all(type(v) is float for rec in records for v in rec.rainfall
+                   if v is not None)
+        try:
+            coded = _coded(records, [(rec, climate.code) for rec, climate
+                                     in label_records(records, policy)])
+        except DataError as exc:
+            coded = ("error", str(exc))
+        result = ([(r.station_id, r.region, r.year, r.rainfall) for r in records],
+                  labels), coded
+    if sniff_labeled(text) == labeled:
+        assert _table_outcome(text, policy) == result
+    return result
+
+
+def _table_outcome(text, policy):
+    try:
+        table = parse_table(text)
+    except DataError as exc:
+        return ("error", str(exc)), None
+    parsed = (list(zip(table.stations, table.regions, table.years,
+                       table.features())), table.labels)
+    try:
+        rows, types = label_table(table, policy)
+        coded = [(i, climate.code) for i, climate in zip(rows, types)]
+    except DataError as exc:
+        coded = ("error", str(exc))
+    return parsed, coded
+
+
+def _reference_outcome(text, labeled, policy):
+    try:
+        parsed = reference_parser.parse_rows(text, labeled)
+    except reference_parser.DataError as exc:
+        return ("error", str(exc)), None
+    records = [p[0] for p in parsed] if labeled else parsed
+    labels = [p[1] for p in parsed] if labeled else None
+    try:
+        coded = _coded(records, reference_parser.label_records(records, policy))
+    except reference_parser.DataError as exc:
+        coded = ("error", str(exc))
+    return (records, labels), coded
+
+
+def _assert_parses_as_the_reference(text, labeled):
+    for policy in reference_parser.POLICIES:
+        assert _outcome(text, labeled, policy) == _reference_outcome(
+            text, labeled, policy), policy
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_table_parser_matches_the_reference_parser(data):
+    """Mutated files, some longer than one chunk of rows, give the same
+    records, labels and Oldeman codes as the line-by-line reference, or
+    the identical DataError text, under each missing-data policy."""
+    labeled = data.draw(st.booleans())
+    lines = _long_lines(labeled, data.draw(st.integers(1, 9)))
+    text = "\n".join(_mutate(data, lines)) + "\n"
+    with mock.patch.object(dataset_module, "_CHUNK_ROWS",
+                           data.draw(st.sampled_from([1, 2, 3, 4096]))):
+        _assert_parses_as_the_reference(text, labeled)
+
+
+_ROW = "300,280,310,250,220,180,90,40,60,120,210,260"
+
+
+@pytest.mark.parametrize("chunk", [2, 4096])
+@pytest.mark.parametrize("later, message", [
+    ("X9,R,2013,1,2,3", "expected 15 fields"),
+    (" ,R,2013," + _ROW, "empty station id"),
+    ("X9,R,20x3," + _ROW, "non-integer year"),
+    ("X0,R,2013," + _ROW, "duplicate station-year"),
+])
+def test_first_error_in_file_order_wins(chunk, later, message):
+    # Line 3 has a bad cell and line 4 a structural error, in the same
+    # chunk of rows (4096 a chunk) or in the next one (2 a chunk).
+    bad_cell = "X1,R,2013,300,280,abc,-1," + _ROW.split(",", 4)[4]
+    head = [HEADER, "X0,R,2013," + _ROW]
+    with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk):
+        for lines, expected in (
+                (head + [bad_cell, later], "line 3: non-numeric rainfall 'abc'"),
+                (head + [later, bad_cell], f"line 3: {message}")):
+            text = "\n".join(lines) + "\n"
+            with pytest.raises(DataError, match=re.escape(expected)):
+                parse_rainfall_file(text)
+            _assert_parses_as_the_reference(text, labeled=False)
+
+
+@pytest.mark.parametrize("label, cells, expected", [
+    ("Z9", "300,-5,abc", "line 2: negative or non-finite rainfall -5"),
+    ("Z9", "300,nan,abc", "line 2: negative or non-finite rainfall nan"),
+    ("Z9", "300,280,abc", "line 2: non-numeric rainfall 'abc'"),
+    ("Z9", "300,280,310", "line 2: unknown climate class 'Z9'"),
+    ("A1", "300, ,inf", "line 2: negative or non-finite rainfall inf"),
+])
+def test_within_a_line_cells_go_by_month_then_the_label(label, cells, expected):
+    row = f"X,R,2013,{cells},250,220,180,90,40,60,120,210,260,{label}"
+    text = LABELED_HEADER + "\n" + row + "\nY,R,2013,1,2\n"
+    with pytest.raises(DataError, match=re.escape(expected)):
+        parse_labeled_file(text)
+    _assert_parses_as_the_reference(text, labeled=True)
+
+
+@pytest.mark.parametrize("labeled", [False, True])
+def test_files_longer_than_a_chunk_match_the_reference(labeled):
+    n_rows = dataset_module._CHUNK_ROWS + 5
+    lines = _long_lines(labeled, n_rows)
+    _assert_parses_as_the_reference("\n".join(lines) + "\n", labeled)
+    # A bad cell in the last row of the first chunk, and a field count
+    # error on the next line: the cell comes first.
+    row_lines = [i for i, line in enumerate(lines) if "," in line][1:]
+    at = row_lines[dataset_module._CHUNK_ROWS - 1]
+    cells = lines[at].split(",")
+    cells[9] = "-1"
+    lines[at] = ",".join(cells)
+    lines[row_lines[dataset_module._CHUNK_ROWS]] = "Z,R,2013,1"
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(DataError, match=f"line {at + 1}: negative"):
+        (parse_labeled_file if labeled else parse_rainfall_file)(text)
+    _assert_parses_as_the_reference(text, labeled)
+
+
+def test_parsed_values_are_python_floats():
+    text = write_rainfall_file([
+        StationYear("A", "R", 2013, (3.0, None) + (250.5,) * 10),
+        StationYear("B", "R", 2013, (0.0,) * 12)])
+    records = parse_rainfall_file(text)
+    table = parse_table(text)
+    labeled = (LABELED_HEADER + "\n"
+               + "\n".join(f"{line},E" for line in text.splitlines()[1:]) + "\n")
+    pairs = parse_labeled_file(labeled)
+    datasets = (label_dataset(records), dataset_from_table(table),
+                dataset_from_table(parse_table(labeled)))
+    values = [v for rec in records for v in rec.rainfall]
+    values += [v for rec, _label in pairs for v in rec.rainfall]
+    values += [v for row in table.features() for v in row]
+    values += [v for ds in datasets for inst in ds.instances for v in inst.features]
+    assert values.count(None) == 6
+    assert all(type(v) is float for v in values if v is not None)
+    assert repr(records[0].rainfall[:2]) == "(3.0, None)"

@@ -1,5 +1,5 @@
-"""Trees of any depth train, prune, size, save, load, predict, compare,
-hash and repr.
+"""Trees of any depth train, prune, size, save, load, predict (one row or
+a batch), compare, hash and repr.
 
 One attribute with alternating labels makes every split peel off one
 row, so the grown trees are about N_ROWS levels deep, past the default
@@ -7,12 +7,13 @@ interpreter recursion limit of 1,000 frames.
 """
 
 import functools
+import math
 
 import pytest
 
 from croptree import (CLASS_DOMAIN, MONTH_NAMES, Dataset, LabeledInstance,
-                      StationYear, TrainParams, load_model, predict, save_model,
-                      train, tree_size, write_rainfall_file)
+                      StationYear, TrainParams, load_model, predict, predict_rows,
+                      save_model, train, tree_size, write_rainfall_file)
 from croptree.cli import main
 from croptree.trees import Internal, Leaf, _dataset_rows, _grow_max_gain, walk
 
@@ -86,6 +87,16 @@ def test_deep_tree_round_trips(trained, name):
     assert save_model(loaded) == data
     assert loaded.root == tree.root
     assert predict(loaded, (None,)) == predict(tree, (None,))
+
+
+@pytest.mark.parametrize("name", sorted(LEARNERS))
+def test_deep_tree_routes_rows_in_batch(trained, name):
+    tree = trained(name)
+    values = [float(i) for i in range(0, N_ROWS, 7)] + [
+        math.nan, -1.0, N_ROWS - 0.5, N_ROWS + 0.5]
+    expected = [tree.class_domain.index(predict(
+        tree, (None if math.isnan(v) else v,)).predicted_class) for v in values]
+    assert predict_rows(tree, [[v] for v in values]).tolist() == expected
 
 
 def _rebuild(node, changed=None):

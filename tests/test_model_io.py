@@ -54,6 +54,32 @@ class TestSave:
         assert body[0].startswith("a0 <= ")
         assert any(line.startswith("a0 > ") for line in body)
 
+    @pytest.mark.parametrize("attributes, classes", [
+        pytest.param(("a b", "c"), ("X", "Y"), id="space-in-attribute"),
+        pytest.param(("a,b", "c"), ("X", "Y"), id="comma-in-attribute"),
+        pytest.param(("a", "c\n"), ("X", "Y"), id="line-feed-in-attribute"),
+        pytest.param(("|a", "c"), ("X", "Y"), id="bar-in-attribute"),
+        pytest.param((":a", "c"), ("X", "Y"), id="colon-in-attribute"),
+        pytest.param(("a", ""), ("X", "Y"), id="empty-attribute"),
+        pytest.param(("a", "a"), ("X", "Y"), id="repeated-attribute"),
+        pytest.param(("a", "c"), ("X Y", "Z"), id="space-in-class"),
+        pytest.param(("a", "c"), ("X", "Y,Z"), id="comma-in-class"),
+        pytest.param(("a", "c"), ("X\xa0", "Y"), id="no-break-space-in-class"),
+        pytest.param(("a", "c"), ("X:1", "Y"), id="colon-in-class"),
+        pytest.param(("a", "c"), ("X", "{Y}"), id="brace-in-class"),
+    ])
+    def test_names_that_would_not_load_back_are_rejected(self, attributes,
+                                                         classes):
+        # Both attributes split the tree and one leaf is impure, so each
+        # name reaches a branch line or a leaf distribution.
+        rows = [((1.0, 5.0), 0), ((2.0, 1.0), 1), ((3.0, 6.0), 0),
+                ((4.0, 0.0), 1), ((4.0, 0.0), 0)]
+        ds = Dataset(attributes, classes, tuple(
+            LabeledInstance(features, classes[cls]) for features, cls in rows))
+        model = train(ds, TrainParams("gainratio", min_leaf=1, prune=False))
+        with pytest.raises(ValueError, match="cannot be saved|distinct"):
+            save_model(model)
+
     def test_auto_k_is_stored_resolved(self):
         model = _model("randomsubset")
         text = save_model(model).decode()

@@ -3,16 +3,17 @@ import math
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
 import oracle
 from croptree import (CLASS_DOMAIN, Dataset, DecisionTree, LabeledInstance,
                       TrainParams, UndefinedSplitError, entropy, gain_ratio,
-                      info_gain, load_model, predict, split_candidates, train,
-                      tree_size)
+                      info_gain, load_model, predict, predict_rows,
+                      split_candidates, train, tree_size)
 from croptree.trees import (Internal, Leaf, _attribute_candidates,
                             _dataset_rows, _grow_max_gain,
-                            _reduced_error_prune, _upper_error_estimate)
+                            _reduced_error_prune, _upper_error_estimate, walk)
 from support import random_consistent_dataset, random_dataset
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -302,6 +303,80 @@ class TestPredict:
             with pytest.raises(ValueError, match="NaN or infinite"):
                 predict(self._tree(), features)
         assert predict(golden, (None,) * 12).predicted_class in CLASS_DOMAIN
+
+
+def _predict_each(tree, matrix):
+    """``predict``'s class index for each row, NaN read as None."""
+    return [tree.class_domain.index(predict(tree, [
+        None if math.isnan(v) else v for v in row]).predicted_class)
+        for row in np.asarray(matrix).tolist()]
+
+
+def _thresholds(node):
+    """(attribute, threshold) of every internal node."""
+    return walk(node, lambda n: ([], None) if isinstance(n, Leaf) else
+                ([(n.attribute, n.threshold)], (n.left, n.right)),
+                lambda test, left, right: test + left + right)
+
+
+class TestPredictRows:
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.glob("*.model")))
+    def test_golden_models_agree_with_predict(self, name):
+        tree = load_model((GOLDEN_DIR / name).read_bytes())
+        rng = np.random.default_rng(5)
+        matrix = rng.uniform(0.0, 450.0, size=(3000, 12))
+        # A third of the cells sit on a threshold of their attribute or
+        # next to it, and a tenth are missing.
+        tests = _thresholds(tree.root)
+        assert tests
+        for i, j in zip(*np.nonzero(rng.random(matrix.shape) < 0.33)):
+            attr, threshold = tests[rng.integers(len(tests))]
+            matrix[i, attr] = np.nextafter(threshold, rng.choice([-np.inf, np.inf])) \
+                if rng.random() < 0.3 else threshold
+        matrix[rng.random(matrix.shape) < 0.1] = np.nan
+        assert predict_rows(tree, matrix).tolist() == _predict_each(tree, matrix)
+
+    def test_trained_trees_agree_with_predict(self):
+        rng = random.Random(8)
+        for algorithm in ("gainratio", "randomsubset", "reducederror"):
+            for _ in range(10):
+                ds = random_dataset(rng, max_instances=40, n_attrs=3,
+                                    value_pool=(0.0, 50.0, 100.0, 150.5))
+                tree = train(ds, TrainParams(algorithm))
+                matrix = np.array([[rng.choice((math.nan, 0.0, 50.0, 75.0, 100.0,
+                                                150.5, 200.0)) for _ in range(3)]
+                                   for _ in range(60)])
+                assert (predict_rows(tree, matrix).tolist()
+                        == _predict_each(tree, matrix))
+
+    @pytest.mark.parametrize("left, right, expected", [
+        ((2.0, 0.0), (0.0, 2.0), 0),  # children weigh the same: left
+        ((1.0, 0.0), (0.0, 2.0), 1),
+        ((0.0, 2.0), (1.5, 1.0), 0),
+    ])
+    def test_missing_value_follows_the_heavier_child(self, left, right, expected):
+        root = Internal(0, 10.0, Leaf(left), Leaf(right))
+        tree = DecisionTree(root, ("a0",), ("X", "Y"), TrainParams("gainratio"))
+        matrix = [[math.nan], [10.0], [np.nextafter(10.0, 11.0)]]
+        assert predict_rows(tree, matrix).tolist() == [
+            expected, root.left.predicted_index, root.right.predicted_index]
+        assert predict_rows(tree, matrix).tolist() == _predict_each(tree, matrix)
+
+    def test_single_leaf_and_zero_rows(self):
+        tree = DecisionTree(Leaf((1.0, 3.0)), ("a0", "a1"), ("X", "Y"),
+                            TrainParams("gainratio"))
+        assert predict_rows(tree, [[1.0, math.nan], [math.nan] * 2]).tolist() == [1, 1]
+        assert predict_rows(tree, np.empty((0, 2))).tolist() == []
+        golden = load_model((GOLDEN_DIR / "gainratio.model").read_bytes())
+        assert predict_rows(golden, np.empty((0, 12))).tolist() == []
+
+    @pytest.mark.parametrize("matrix", [[[1.0]], [1.0, 2.0], [[1.0, math.inf]],
+                                        [[-math.inf, 0.0]]])
+    def test_wrong_shape_or_infinite_value_rejected(self, matrix):
+        root = Internal(0, 10.0, Leaf((3.0, 0.0)), Leaf((1.0, 1.0)))
+        tree = DecisionTree(root, ("a0", "a1"), ("X", "Y"), TrainParams("gainratio"))
+        with pytest.raises(ValueError):
+            predict_rows(tree, matrix)
 
 
 class TestPruning:
