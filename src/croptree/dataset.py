@@ -15,6 +15,9 @@ the rainfall cells of up to `_CHUNK_ROWS` rows are converted together
 with Python's `float`, and the first error in file order is raised.
 `parse_rainfall_file`, `parse_labeled_file`, `StationYear` and `Dataset`
 are views built from the table, whose values reach them as Python floats.
+Instance rules (finite features, a positive finite weight) are checked
+when a `LabeledInstance` is built and set rules (width, labels, finite
+total weight) by `Dataset`, so training never checks an instance again.
 
 Labeling attaches an Oldeman class to every station-year: `label_table`
 labels a table's whole matrix at once (`climate.classify_rows`), and
@@ -74,13 +77,27 @@ class StationYear:
         return all(v is not None for v in self.rainfall)
 
 
+def _check_finite(features, owner: str) -> None:
+    """None marks a missing value; NaN or ±inf raises ValueError."""
+    if not all(v is None or math.isfinite(v) for v in features):
+        raise ValueError(f"{owner} has a NaN or infinite feature value; "
+                         "None marks a missing value")
+
+
 @dataclass(frozen=True)
 class LabeledInstance:
+    """Features (finite, or None if missing), label and a positive finite weight."""
+
     features: Tuple[Optional[float], ...]
     label: str
     weight: float = 1.0
     provenance_id: str = ""
     region: str = ""
+
+    def __post_init__(self):
+        _check_finite(self.features, "instance")
+        if not 0 < self.weight < math.inf:
+            raise ValueError("instance weight must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -89,7 +106,8 @@ class Dataset:
 
     The class domain is fixed up front (all 14 Oldeman codes for the
     rainfall pipeline) so models and confusion matrices stay comparable
-    even when the data covers fewer types.
+    even when the data covers fewer types.  Every instance has one feature
+    per attribute and a label in the domain; their weights add up finitely.
     """
 
     attribute_names: Tuple[str, ...]
@@ -105,8 +123,8 @@ class Dataset:
                                  f"expected {width}")
             if inst.label not in domain:
                 raise ValueError(f"label {inst.label!r} not in class domain")
-            if not 0 < inst.weight < math.inf:
-                raise ValueError("instance weight must be positive and finite")
+        if sum(inst.weight for inst in self.instances) == math.inf:
+            raise ValueError("instance weights add up to infinity")
 
     def __len__(self) -> int:
         return len(self.instances)

@@ -156,8 +156,7 @@ def cross_validate(dataset: Dataset, params: TrainParams, k: int,
         train_instances = tuple(inst for i, inst in enumerate(dataset.instances)
                                 if i not in held)
         fold_params = replace(params, seed=seed * 1_000_003 + fold_no)
-        model = train(Dataset(dataset.attribute_names, dataset.class_domain,
-                              train_instances), fold_params)
+        model = train(replace(dataset, instances=train_instances), fold_params)
         for i in fold:
             predictions[i] = predict(model, dataset.instances[i].features)
     return _score(predictions, dataset, tree_size(train(dataset, params)))

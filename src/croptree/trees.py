@@ -20,12 +20,13 @@ from ``Leaf.errors``.  Every whole-tree traversal (growing, pruning,
 sizing, equality, hashing, saving, loading) runs on ``walk``, one
 explicit-stack walker, so trees of any depth work.
 
-Training keeps every node as a list of (row index, class index, weight)
-triples and counts and partitions it in plain Python.  Only scoring a
-node's split candidates depends on its size: above ``_SMALL_NODE`` rows,
-numpy scores all of them at once over the tree's n×A matrix (NaN for a
-missing value); smaller nodes are scored in Python, where numpy's cost
-per call outweighs the work.  Both kernels choose the same splits.  The
+Training reads a dataset once into a column set: feature tuples, class
+indices and, above ``_SMALL_NODE`` rows, an n×A matrix (NaN if missing).
+Every node, reduced-error pruning's holdout too, is a list of (row index,
+class index, weight) triples into it, counted and partitioned in Python.
+A node of more than ``_SMALL_NODE`` rows has all its split candidates
+scored at once in numpy; smaller ones are scored in Python, where numpy's
+cost per call outweighs the work.  Both kernels choose the same splits.  The
 last bits of a sum of weights depend on the order of its additions, so
 every such sum is sequential, left to right in node order (``np.cumsum``
 and ``np.bincount`` in the kernel, never pairwise like ``np.sum``), and
@@ -60,7 +61,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 from scipy.special import betaincinv
 
-from .dataset import Dataset
+from .dataset import Dataset, _check_finite
 
 #: Tolerance used when comparing gains and ratios; candidates within this
 #: band count as tied and the earlier candidate in pinned order wins.
@@ -243,40 +244,24 @@ def entropy(class_counts: Sequence[float]) -> float:
         raise ValueError("entropy needs at least one positive count")
     h = 0.0
     for c in class_counts:
-        if c > 0.0:
-            p = c / total
+        p = c / total
+        if p > 0.0:
             h -= p * _log2(p)
     return h
-
-
-def _check_finite(features, owner: str) -> None:
-    """None marks a missing value; NaN or ±inf raises ValueError."""
-    for v in features:
-        if v is not None and not math.isfinite(v):
-            raise ValueError(f"{owner} has a NaN or infinite feature value; "
-                             "None marks a missing value")
-
-
-def _dataset_rows(dataset: Dataset):
-    """(features, class index, weight) rows; NaN or ±inf raises ValueError."""
-    index = {c: i for i, c in enumerate(dataset.class_domain)}
-    for n, inst in enumerate(dataset.instances):
-        _check_finite(inst.features, f"instance {n}")
-    return [(inst.features, index[inst.label], inst.weight)
-            for inst in dataset.instances]
 
 
 def _dataset_candidates(dataset: Dataset, attribute_index: int):
     """Every threshold of one attribute over the whole dataset, unfiltered."""
     _best, cands = _attribute_candidates(
-        _dataset_rows(dataset), attribute_index, len(dataset.class_domain), 0)
+        *_columns(dataset), attribute_index, len(dataset.class_domain), 0)
     return cands
 
 
 def split_candidates(dataset: Dataset, attribute_index: int) -> List[float]:
     """Midpoints between consecutive distinct non-missing values.
 
-    Empty when the attribute has fewer than two distinct values.
+    Empty when the attribute has fewer than two distinct values, or when
+    its present weight rounds away against its missing weight.
     """
     return [t for t, _gain, _ratio in _dataset_candidates(dataset, attribute_index)]
 
@@ -288,7 +273,7 @@ def _split_at(dataset: Dataset, attribute_index: int, threshold: float):
                      for inst in dataset.instances
                      if inst.features[attribute_index] is not None})
     i = bisect.bisect_right(values, threshold)
-    if i == 0 or i == len(values):
+    if not 0 < i <= len(candidates):
         raise UndefinedSplitError(
             f"threshold {threshold} puts all weight on one side of "
             f"attribute {attribute_index}")
@@ -310,11 +295,11 @@ def gain_ratio(dataset: Dataset, attribute_index: int, threshold: float) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Training internals.  A node is a list of (row index, class index, weight)
-# triples in node order; weights become fractional below splits on an
-# attribute some instance is missing.  Only nodes of more than _SMALL_NODE
-# rows are scored in numpy, and sums of weights stay sequential (see the
-# module docstring).
+# Training internals.  Each function takes the column set ``_columns``
+# builds and a node: (row index, class index, weight) triples into it, in
+# node order.  Weights become fractional below splits on an attribute some
+# instance is missing.  Only nodes of more than _SMALL_NODE rows are scored
+# in numpy, and sums of weights stay sequential (see the module docstring).
 
 #: Nodes of at most this many rows are scored in pure Python, where
 #: numpy's fixed cost per call would outweigh the work.
@@ -325,11 +310,10 @@ _BLOCK_CELLS = 2048
 
 
 class _Columns(NamedTuple):
-    """The rows' features and, for a root over _SMALL_NODE rows, numpy arrays."""
+    """The rows' feature tuples and, over _SMALL_NODE rows, their matrix."""
 
     features: list
     values: Optional[np.ndarray]  # n×A, NaN for a missing value
-    classes: Optional[np.ndarray]
 
 
 class _Scores(NamedTuple):
@@ -343,15 +327,17 @@ class _Scores(NamedTuple):
     ratio: np.ndarray
 
 
-def _root(rows, n_attrs: int):
-    """The training set's columns and the root node over ``rows``."""
-    features = [feats for feats, _cls, _w in rows]
-    node = [(i, cls, w) for i, (_feats, cls, w) in enumerate(rows)]
-    if len(rows) <= _SMALL_NODE:
-        return _Columns(features, None, None), node
-    values = np.array(features, dtype=float).reshape(len(rows), n_attrs)
-    classes = np.array([cls for _feats, cls, _w in rows], dtype=np.intp)
-    return _Columns(features, values, classes), node
+def _columns(dataset: Dataset):
+    """The dataset's column set and the root node over all its instances."""
+    index = {c: i for i, c in enumerate(dataset.class_domain)}
+    features = [inst.features for inst in dataset.instances]
+    node = [(i, index[inst.label], inst.weight)
+            for i, inst in enumerate(dataset.instances)]
+    if len(node) <= _SMALL_NODE:
+        return _Columns(features, None), node
+    values = np.array(features, dtype=float).reshape(
+        len(node), len(dataset.attribute_names))
+    return _Columns(features, values), node
 
 
 def _class_counts(node, n_classes: int) -> List[float]:
@@ -371,17 +357,17 @@ def _is_pure(counts) -> bool:
     return True
 
 
-def _attribute_candidates(rows, attr: int, n_classes: int, min_leaf: float):
+def _attribute_candidates(columns: _Columns, node, attr: int, n_classes: int,
+                          min_leaf: float):
     """All admissible thresholds for one attribute at one node.
 
     Returns (best_gain, [(threshold, gain, ratio), ...]) with thresholds
     strictly increasing.  A candidate is admissible when both fractional
-    branch weights reach min_leaf.
+    branch weights reach min_leaf and the right one did not round to 0.
     """
-    columns, node = _root([((feats[attr],), cls, w) for feats, cls, w in rows], 1)
-    if columns.values is None:
-        return _small_candidates(columns.features, node, 0, n_classes, min_leaf)
-    scores = _block_scores(columns, node, [0], n_classes, min_leaf)
+    if len(node) <= _SMALL_NODE:
+        return _small_candidates(columns.features, node, attr, n_classes, min_leaf)
+    scores = _block_scores(columns, node, [attr], n_classes, min_leaf)
     return float(scores.best[0]), list(zip(scores.threshold.tolist(),
                                            scores.gain.tolist(),
                                            scores.ratio.tolist()))
@@ -399,8 +385,6 @@ def _small_candidates(features, node, attr: int, n_classes: int, min_leaf: float
             miss_w += w
         else:
             present.append((v, cls, w))
-    if len(present) < 2:
-        return 0.0, []
     present.sort(key=lambda r: r[0])
 
     total_counts = list(miss_counts)
@@ -409,10 +393,14 @@ def _small_candidates(features, node, attr: int, n_classes: int, min_leaf: float
     active = [c for c in range(n_classes) if total_counts[c] > 0.0]
     total_w = sum(total_counts)
     known_w = total_w - miss_w
+    # None without two present rows, or when their weight rounds away.
+    if len(present) < 2 or known_w <= 0.0:
+        return 0.0, []
     parent_h = 0.0
     for c in active:
         p = total_counts[c] / total_w
-        parent_h -= p * _log2(p)
+        if p > 0.0:  # a share of a far larger total can underflow to 0
+            parent_h -= p * _log2(p)
 
     left_counts = [0.0] * n_classes
     left_known = 0.0
@@ -433,18 +421,16 @@ def _small_candidates(features, node, attr: int, n_classes: int, min_leaf: float
         frac = left_known / known_w
         lw = left_known + miss_w * frac
         rw = right_known + miss_w * (1.0 - frac)
-        if lw + EPS < min_leaf or rw + EPS < min_leaf:
+        if lw + EPS < min_leaf or rw + EPS < min_leaf or rw <= 0.0:
             continue
         hl = 0.0
         hr = 0.0
         for c in active:
-            lc = left_counts[c] + miss_counts[c] * frac
-            if lc > 0.0:
-                p = lc / lw
+            p = (left_counts[c] + miss_counts[c] * frac) / lw
+            if p > 0.0:
                 hl -= p * _log2(p)
-            rc = total_counts[c] - left_counts[c] - miss_counts[c] * frac
-            if rc > 0.0:
-                p = rc / rw
+            p = (total_counts[c] - left_counts[c] - miss_counts[c] * frac) / rw
+            if p > 0.0:
                 hr -= p * _log2(p)
         gain = parent_h - (lw * hl + rw * hr) / total_w
         if gain < 0.0:
@@ -467,9 +453,9 @@ def _column_sums(rows):
 
 
 def _entropies(counts, totals):
-    """Entropy of each column of ``counts / totals``; counts <= 0 add nothing."""
+    """Entropy of each column of ``counts / totals``; shares <= 0 add nothing."""
     p = counts / totals
-    terms = np.where(counts > 0.0, p, 1.0)
+    terms = np.where(p > 0.0, p, 1.0)
     np.log2(terms, out=terms)
     terms *= p
     return 0.0 - _column_sums(terms)
@@ -486,9 +472,7 @@ def _block_scores(columns: _Columns, node, attrs, n_classes: int,
     EPS.
     """
     attrs = np.asarray(attrs, dtype=np.intp)
-    rows, _classes, weights = zip(*node)
-    rows, weights = np.array(rows), np.array(weights)
-    classes = columns.classes[rows]
+    rows, classes, weights = map(np.array, zip(*node))
     active = np.flatnonzero(np.bincount(classes, minlength=n_classes))
     code = np.searchsorted(active, classes)
     step = max(1, _BLOCK_CELLS // len(rows))
@@ -527,14 +511,16 @@ def _group_scores(values, weights, code, k: int, min_leaf: float):
     total_w = _column_sums(total_counts)
     known_w = total_w - miss_w
 
-    # A run of equal present values ends at sorted row ``row`` of ``col``.
-    col, row = (present[:, 1:] & (v[:, 1:] != v[:, :-1])).nonzero()
+    # A run of equal present values ends at sorted row ``row`` of ``col``;
+    # a column whose known weight rounded away to 0 has no candidate.
+    col, row = (present[:, 1:] & (v[:, 1:] != v[:, :-1])
+                & (known_w > 0.0)[:, None]).nonzero()
     left_known = w.cumsum(axis=1)[col, row]
     known, miss = known_w[col], miss_w[col]
     frac = left_known / known
     lw = left_known + miss * frac
     rw = (known - left_known) + miss * (1.0 - frac)
-    ok = (lw + EPS >= min_leaf) & (rw + EPS >= min_leaf)
+    ok = (lw + EPS >= min_leaf) & (rw + EPS >= min_leaf) & (rw > 0.0)
     col, row, frac, lw, rw = col[ok], row[ok], frac[ok], lw[ok], rw[ok]
 
     # Class counts left of each run end are running sums per column and
@@ -672,15 +658,13 @@ def _choose_by_gain(evals) -> Optional[Tuple[int, float]]:
     return choice
 
 
-def _grow(rows, n_attrs: int, n_classes: int, score, choose) -> Node:
-    """Grow a tree depth-first on ``walk`` from (features, class, weight) rows.
+def _grow(columns: _Columns, root, n_classes: int, score, choose) -> Node:
+    """Grow a tree depth-first on ``walk`` from the node ``root``.
 
     ``score(columns, node, path)`` gives each attribute's (best_gain,
     candidates), (0.0, []) if unexamined; ``path`` is the node's L/R steps
     from the root.  ``choose(evals)`` picks the (attribute, threshold) or None.
     """
-    columns, root = _root(rows, n_attrs)
-
     def expand(task):
         node, path = task
         counts = _class_counts(node, n_classes)
@@ -703,8 +687,9 @@ def _grow(rows, n_attrs: int, n_classes: int, score, choose) -> Node:
                 lambda choice, left, right: Internal(*choice, left, right))
 
 
-def _grow_max_gain(rows, n_attrs: int, n_classes: int, min_leaf: int) -> Node:
-    return _grow(rows, n_attrs, n_classes,
+def _grow_max_gain(columns: _Columns, node, n_attrs: int, n_classes: int,
+                   min_leaf: int) -> Node:
+    return _grow(columns, node, n_classes,
                  _score_all(n_attrs, n_classes, min_leaf), _choose_by_gain)
 
 
@@ -753,10 +738,6 @@ def _prune(root: Node, cost, route, ctx):
     return walk((root, ctx), expand, join)
 
 
-def _holdout_errors(leaf: Leaf, hold_rows) -> float:
-    return sum(w for _feats, cls, w in hold_rows if cls != leaf.predicted_index)
-
-
 def _goes_left(node: Internal, value: Optional[float]) -> bool:
     """A missing value follows the heavier child (ties go left); a value
     equal to the threshold goes left."""
@@ -765,26 +746,27 @@ def _goes_left(node: Internal, value: Optional[float]) -> bool:
     return value <= node.threshold
 
 
-def _route_holdout(node: Internal, hold_rows):
-    left, right = [], []
-    for row in hold_rows:
-        (left if _goes_left(node, row[0][node.attribute]) else right).append(row)
-    return left, right
+def _reduced_error_prune(columns: _Columns, hold, root: Node):
+    """Prune ``root`` against the holdout node ``hold``; (node, its errors)."""
+    def errors(leaf: Leaf, hold) -> float:
+        return sum(w for _i, cls, w in hold if cls != leaf.predicted_index)
+
+    def route(node: Internal, hold):
+        left, right = [], []
+        for row in hold:
+            value = columns.features[row[0]][node.attribute]
+            (left if _goes_left(node, value) else right).append(row)
+        return left, right
+    return _prune(root, errors, route, hold)
 
 
-def _reduced_error_prune(node: Node, hold_rows):
-    return _prune(node, _holdout_errors, _route_holdout, hold_rows)
-
-
-def _train_reduced_error(rows, n_attrs: int, n_classes: int,
+def _train_reduced_error(columns: _Columns, node, n_attrs: int, n_classes: int,
                          params: TrainParams) -> Node:
-    order = list(range(len(rows)))
-    random.Random(params.seed).shuffle(order)
-    hold_n = len(rows) // params.prune_folds
-    grow_rows = [rows[i] for i in order[:len(rows) - hold_n]]
-    hold_rows = [rows[i] for i in order[len(rows) - hold_n:]]
-    root = _grow_max_gain(grow_rows, n_attrs, n_classes, params.min_leaf)
-    root, _err = _reduced_error_prune(root, hold_rows)
+    """Shuffle ``node`` by the seed, grow on its head, prune on its tail."""
+    random.Random(params.seed).shuffle(node)
+    cut = len(node) - len(node) // params.prune_folds
+    root = _grow_max_gain(columns, node[:cut], n_attrs, n_classes, params.min_leaf)
+    root, _err = _reduced_error_prune(columns, node[cut:], root)
     return root
 
 
@@ -794,9 +776,9 @@ def train(dataset: Dataset, params: TrainParams) -> DecisionTree:
         raise ValueError("training dataset is empty")
     n_attrs = len(dataset.attribute_names)
     n_classes = len(dataset.class_domain)
-    rows = _dataset_rows(dataset)
+    columns, node = _columns(dataset)
     if params.algorithm == "gainratio":
-        root = _grow(rows, n_attrs, n_classes,
+        root = _grow(columns, node, n_classes,
                      _score_all(n_attrs, n_classes, params.min_leaf),
                      _choose_by_gain_ratio)
         if params.prune:
@@ -809,11 +791,11 @@ def train(dataset: Dataset, params: TrainParams) -> DecisionTree:
         if k > n_attrs:
             raise ValueError(
                 f"k={k} exceeds the {n_attrs} available attributes")
-        root = _grow(rows, n_attrs, n_classes,
+        root = _grow(columns, node, n_classes,
                      _score_random_subset(n_attrs, n_classes, k, params.seed),
                      _choose_by_gain)
     else:
-        root = _train_reduced_error(rows, n_attrs, n_classes, params)
+        root = _train_reduced_error(columns, node, n_attrs, n_classes, params)
     return DecisionTree(root, tuple(dataset.attribute_names),
                         tuple(dataset.class_domain), params)
 

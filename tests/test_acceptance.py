@@ -24,7 +24,7 @@ from croptree import (CLASS_DOMAIN, ConfusionMatrix, Dataset, LabeledInstance,
                       split_candidates, stratified_folds, train, tree_size,
                       write_rainfall_file)
 from croptree.cli import main
-from croptree.trees import (Internal, _dataset_rows, _grow_max_gain,
+from croptree.trees import (Internal, _columns, _grow_max_gain,
                             _reduced_error_prune)
 from support import make_stations, random_dataset, random_feature_vector
 
@@ -236,10 +236,10 @@ def test_criterion_6f_reduced_error_pruning_safety():
 
         def holdout_errors(node, batch):
             total = 0.0
-            for feats, cls, w in batch:
+            for i, cls, w in batch:
                 cursor = node
                 while isinstance(cursor, Internal):
-                    v = feats[cursor.attribute]
+                    v = columns.features[i][cursor.attribute]
                     if v is None:
                         cursor = (cursor.left
                                   if cursor.left.weight >= cursor.right.weight
@@ -254,12 +254,12 @@ def test_criterion_6f_reduced_error_pruning_safety():
 
         for _ in range(CASES):
             ds = random_dataset(rng, max_instances=24, n_attrs=3)
-            rows = _dataset_rows(ds)
+            columns, rows = _columns(ds)
             rng.shuffle(rows)
             cut = max(1, (2 * len(rows)) // 3)
-            grown = _grow_max_gain(rows[:cut], 3, len(ds.class_domain), 1)
+            grown = _grow_max_gain(columns, rows[:cut], 3, len(ds.class_domain), 1)
             hold = rows[cut:]
-            pruned, pruned_err = _reduced_error_prune(grown, hold)
+            pruned, pruned_err = _reduced_error_prune(columns, hold, grown)
             assert pruned_err <= holdout_errors(grown, hold) + 1e-9
             assert pruned_err == pytest.approx(holdout_errors(pruned, hold))
             assert tree_size(pruned) <= tree_size(grown)

@@ -1,5 +1,6 @@
 import csv
 import io
+import pathlib
 
 import pytest
 
@@ -209,7 +210,7 @@ class TestTrain:
         # build a labeled training file from the raw one
         raw = (tmp_path / "x.csv").read_text(encoding="utf-8").splitlines()[1:]
         by_station = {line.split(",")[0]: line.split(",")[3] for line in raw}
-        rain_lines = open(rain_csv, encoding="utf-8").read().splitlines()
+        rain_lines = pathlib.Path(rain_csv).read_text(encoding="utf-8").splitlines()
         out_lines = [rain_lines[0] + ",climate_class"]
         for line in rain_lines[1:]:
             out_lines.append(line + "," + by_station[line.split(",")[0]])
@@ -389,7 +390,7 @@ class TestRecommend:
 
     def test_corrupt_model_is_data_error(self, tmp_path, rain_csv, model_txt):
         crippled = tmp_path / "broken.txt"
-        crippled.write_bytes(open(model_txt, "rb").read()[:-10])
+        crippled.write_bytes(pathlib.Path(model_txt).read_bytes()[:-10])
         assert main(["recommend", str(crippled), rain_csv]) == 2
 
 

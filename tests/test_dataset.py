@@ -311,6 +311,16 @@ def test_dataset_rejects_foreign_labels_and_bad_weights():
                     (LabeledInstance((1.0,) * 12, "A1", weight=weight),))
 
 
+def test_dataset_rejects_weights_adding_up_to_infinity():
+    # Each weight is finite, but their total is not: training would
+    # overflow its sums of weights.
+    for weight, n in ((1e307, 40), (1e308, 2)):
+        instances = tuple(LabeledInstance((float(i),), "XY"[i % 2], weight=weight)
+                          for i in range(n))
+        with pytest.raises(ValueError, match="infinity"):
+            Dataset(("a0",), ("X", "Y"), instances)
+
+
 def test_dataset_from_pairs_round_trips_labels():
     record = StationYear("X", "R", 2014, (250.0,) * 12)
     dataset = dataset_from_pairs([(record, "C3")])

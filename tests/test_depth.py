@@ -15,7 +15,7 @@ from croptree import (CLASS_DOMAIN, MONTH_NAMES, Dataset, LabeledInstance,
                       StationYear, TrainParams, load_model, predict, predict_rows,
                       save_model, train, tree_size, write_rainfall_file)
 from croptree.cli import main
-from croptree.trees import Internal, Leaf, _dataset_rows, _grow_max_gain, walk
+from croptree.trees import Internal, Leaf, _columns, _grow_max_gain, walk
 
 N_ROWS = 1500
 
@@ -66,7 +66,7 @@ def test_randomsubset_trains_deep_tree(trained):
 @pytest.fixture(scope="module")
 def max_gain_root():
     """The reducederror learner's grower, before pruning."""
-    return _grow_max_gain(_dataset_rows(_alternating_dataset()), 1, 2, 1)
+    return _grow_max_gain(*_columns(_alternating_dataset()), 1, 2, 1)
 
 
 def test_max_gain_grower_grows_deep_tree(max_gain_root):

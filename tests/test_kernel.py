@@ -17,7 +17,7 @@ from croptree import (Dataset, LabeledInstance, TrainParams, save_model,
                       train)
 from croptree import trees
 from croptree.trees import (Leaf, _attribute_candidates, _choose_by_gain,
-                            _choose_by_gain_ratio, _evaluate, _root)
+                            _choose_by_gain_ratio, _columns, _evaluate)
 
 TOL = 1e-12
 
@@ -41,6 +41,14 @@ def _random_rows(rng, n, n_attrs, n_classes):
     return rows
 
 
+def _rows_dataset(rows, n_attrs, n_classes):
+    """The Dataset of (features, class index, weight) rows."""
+    names = tuple(f"a{j}" for j in range(n_attrs))
+    classes = tuple(f"c{i}" for i in range(n_classes))
+    return Dataset(names, classes, tuple(
+        LabeledInstance(feats, classes[cls], weight=w) for feats, cls, w in rows))
+
+
 def _assert_same(got, want):
     best, cands = got
     ref_best, ref_cands = want
@@ -59,9 +67,10 @@ def test_kernel_matches_reference(n):
         n_classes = rng.randint(1, 14)
         rows = _random_rows(rng, n, 2, n_classes)
         min_leaf = rng.choice((0, 1, 2, 5))
+        columns, node = _columns(_rows_dataset(rows, 2, n_classes))
         for attr in range(2):
             _assert_same(
-                _attribute_candidates(rows, attr, n_classes, min_leaf),
+                _attribute_candidates(columns, node, attr, n_classes, min_leaf),
                 reference_kernel.attribute_candidates(
                     rows, attr, n_classes, min_leaf))
 
@@ -72,8 +81,9 @@ def test_kernel_matches_reference_past_one_slice():
     rows = [((float(i), None if i % 7 == 0 else float(i % 50)),
              rng.randrange(5), rng.choice((1.0, 0.5)))
             for i in range(3 * trees._BLOCK_CELLS)]
+    columns, node = _columns(_rows_dataset(rows, 2, 5))
     for attr in range(2):
-        _assert_same(_attribute_candidates(rows, attr, 5, 2),
+        _assert_same(_attribute_candidates(columns, node, attr, 5, 2),
                      reference_kernel.attribute_candidates(rows, attr, 5, 2))
 
 
@@ -89,8 +99,8 @@ def test_block_keeps_every_choice(monkeypatch, n):
         n_classes = rng.randint(2, 14)
         rows = _random_rows(rng, n, n_attrs, n_classes)
         min_leaf = rng.choice((1, 2, 5))
-        evals = list(_evaluate(*_root(rows, n_attrs), range(n_attrs),
-                               n_classes, min_leaf))
+        evals = list(_evaluate(*_columns(_rows_dataset(rows, n_attrs, n_classes)),
+                               range(n_attrs), n_classes, min_leaf))
         ref = [reference_kernel.attribute_candidates(rows, a, n_classes,
                                                      min_leaf)
                for a in range(n_attrs)]
@@ -104,13 +114,18 @@ def test_block_keeps_every_choice(monkeypatch, n):
             assert set(kept) <= set(listed)
 
 
-def _weighted_dataset(rng, n):
-    names = ("a0", "a1", "a2", "a3")
-    classes = tuple(f"c{i}" for i in range(6))
-    instances = []
-    for feats, cls, w in _random_rows(rng, n, len(names), len(classes)):
-        instances.append(LabeledInstance(feats, classes[cls], weight=w))
-    return Dataset(names, classes, tuple(instances))
+def _extreme_datasets():
+    """Weights so far apart that adding the present weights to a missing
+    one leaves it unchanged, or that a class's share of a branch
+    underflows to 0; a few rows and more than _SMALL_NODE of each."""
+    absorbed = [((None,), 0, 1e16), ((1.0,), 1, 1.0), ((2.0,), 0, 1.0)]
+    absorbed_many = ([((None,), 0, 1e17)]
+                     + [((float(i),), i % 2, 1.0) for i in range(30)])
+    tiny = [((1.0,), 0, 1e300), ((1.0,), 1, 1e-300), ((2.0,), 1, 1e290),
+            ((3.0,), 0, 1e290)]
+    tiny_many = tiny + [((4.0 + i,), i % 2, 1e290) for i in range(20)]
+    return [_rows_dataset(rows, 1, 2)
+            for rows in (absorbed, absorbed_many, tiny, tiny_many)]
 
 
 @pytest.mark.parametrize("algorithm", ["gainratio", "randomsubset",
@@ -119,8 +134,10 @@ def test_columnar_and_pure_python_growers_agree(monkeypatch, algorithm):
     """Whole trees, byte for byte: every node columnar, every node pure
     Python, and the shipped cut-over in between."""
     rng = random.Random(algorithm)
-    for case in range(6):
-        ds = _weighted_dataset(rng, rng.choice((40, 120, 400)))
+    datasets = [_rows_dataset(_random_rows(rng, rng.choice((40, 120, 400)), 4, 6),
+                              4, 6)
+                for _ in range(6)]
+    for case, ds in enumerate(datasets + _extreme_datasets()):
         params = TrainParams(algorithm, seed=case,
                              **({"min_leaf": 1} if case % 2 else {}))
         shipped = save_model(train(ds, params))

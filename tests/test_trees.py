@@ -2,6 +2,7 @@ import itertools
 import math
 import pathlib
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ import pytest
 import oracle
 from croptree import (CLASS_DOMAIN, Dataset, DecisionTree, LabeledInstance,
                       TrainParams, UndefinedSplitError, entropy, gain_ratio,
-                      info_gain, load_model, predict, predict_rows,
+                      info_gain, load_model, predict, predict_rows, save_model,
                       split_candidates, train, tree_size)
-from croptree.trees import (Internal, Leaf, _attribute_candidates,
-                            _dataset_rows, _grow_max_gain,
-                            _reduced_error_prune, _upper_error_estimate, walk)
+from croptree.trees import (Internal, Leaf, _attribute_candidates, _columns,
+                            _grow_max_gain, _reduced_error_prune,
+                            _upper_error_estimate, walk)
 from support import random_consistent_dataset, random_dataset
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -80,6 +81,18 @@ class TestGain:
             info_gain(ds, 0, 5.0)
         with pytest.raises(UndefinedSplitError):
             gain_ratio(ds, 0, 0.5)
+        # Weights so far apart that the smaller ones round away in a sum:
+        # the present weight against the missing one, then the right
+        # side's weight against the left's.
+        for rows, threshold in (([(None, "X", 1e16), (1.0, "Y", 1.0),
+                                  (2.0, "X", 1.0)], 1.5),
+                                ([(0.0, "X", 1e300), (1.0, "Y", 1e-300)], 0.5)):
+            ds = Dataset(("a0",), ("X", "Y"), tuple(
+                LabeledInstance((v,), label, weight=w) for v, label, w in rows))
+            assert split_candidates(ds, 0) == []
+            for helper in (info_gain, gain_ratio):
+                with pytest.raises(UndefinedSplitError):
+                    helper(ds, 0, threshold)
 
     def test_fractional_missing_weighting(self):
         # one instance missing the split attribute splits 50/50 here
@@ -97,10 +110,10 @@ class TestGain:
         for _ in range(150):
             ds = random_dataset(rng, max_instances=20, n_attrs=3,
                                 value_pool=(0.0, 50.0, 100.0, 300.0))
-            rows = _dataset_rows(ds)
+            columns, node = _columns(ds)
             for attr in range(3):
                 _best, cands = _attribute_candidates(
-                    rows, attr, len(ds.class_domain), 1)
+                    columns, node, attr, len(ds.class_domain), 1)
                 assert [t for t, _g, _r in cands] == split_candidates(ds, attr)
                 for threshold, gain, ratio in cands:
                     assert gain == pytest.approx(
@@ -180,17 +193,26 @@ class TestTrain:
     def test_non_finite_feature_rejected(self, bad):
         # Read as a present value, NaN or ±inf yields NaN thresholds that
         # split nothing, and growing never ends; None marks a missing value.
+        # The instance refuses it, so no dataset given to train or to the
+        # split helpers can hold one.
         for n in (12, 40):
-            ds = _dataset([(float(i) if i % 3 else bad, "XY"[i % 2])
-                           for i in range(n)], n_attrs=1)
-            for algorithm in ("gainratio", "randomsubset", "reducederror"):
-                with pytest.raises(ValueError, match="NaN or infinite"):
-                    train(ds, TrainParams(algorithm, min_leaf=1))
-            for helper in (info_gain, gain_ratio):
-                with pytest.raises(ValueError, match="NaN or infinite"):
-                    helper(ds, 0, 4.5)
             with pytest.raises(ValueError, match="NaN or infinite"):
-                split_candidates(ds, 0)
+                _dataset([(float(i) if i % 3 else bad, "XY"[i % 2])
+                          for i in range(n)], n_attrs=1)
+
+    def test_huge_finite_total_weight_trains_and_round_trips(self):
+        # 40 × 1e306 adds up to 4e307, still finite; missing cells make
+        # the weights fractional below the splits.
+        instances = tuple(
+            LabeledInstance((None if i % 5 == 0 else float(i % 7), float(i)),
+                            "XY"[i % 2], weight=1e306)
+            for i in range(40))
+        ds = Dataset(("a0", "a1"), ("X", "Y"), instances)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for algorithm in ("gainratio", "randomsubset", "reducederror"):
+                text = save_model(train(ds, TrainParams(algorithm, min_leaf=1)))
+                assert save_model(load_model(text)) == text
 
     def test_k_larger_than_attribute_count_rejected(self):
         ds = _dataset([(1.0, 2.0, "X"), (3.0, 4.0, "Y")])
@@ -416,19 +438,19 @@ class TestPruning:
         rng = random.Random(29)
         for _ in range(60):
             ds = random_dataset(rng, max_instances=30, n_attrs=3)
-            rows = _dataset_rows(ds)
+            columns, rows = _columns(ds)
             rng.shuffle(rows)
             cut = max(1, (2 * len(rows)) // 3)
-            grown = _grow_max_gain(rows[:cut], 3, len(ds.class_domain), 1)
+            grown = _grow_max_gain(columns, rows[:cut], 3, len(ds.class_domain), 1)
             hold = rows[cut:]
-            pruned, pruned_err = _reduced_error_prune(grown, hold)
+            pruned, pruned_err = _reduced_error_prune(columns, hold, grown)
 
             def holdout_errors(node, batch):
                 total = 0.0
-                for feats, cls, w in batch:
+                for i, cls, w in batch:
                     cursor = node
                     while isinstance(cursor, Internal):
-                        v = feats[cursor.attribute]
+                        v = columns.features[i][cursor.attribute]
                         if v is None:
                             cursor = (cursor.left
                                       if cursor.left.weight >= cursor.right.weight
