@@ -107,7 +107,8 @@ class Dataset:
     The class domain is fixed up front (all 14 Oldeman codes for the
     rainfall pipeline) so models and confusion matrices stay comparable
     even when the data covers fewer types.  Every instance has one feature
-    per attribute and a label in the domain; their weights add up finitely.
+    per attribute and a label in the domain; their weights add up finitely,
+    with room for the total times log2 of the class count.
     """
 
     attribute_names: Tuple[str, ...]
@@ -123,8 +124,12 @@ class Dataset:
                                  f"expected {width}")
             if inst.label not in domain:
                 raise ValueError(f"label {inst.label!r} not in class domain")
-        if sum(inst.weight for inst in self.instances) == math.inf:
-            raise ValueError("instance weights add up to infinity")
+        # Training weighs each side's entropy (at most log2 of the class
+        # count) by the side's weight, and that sum must stay finite.
+        total = sum(inst.weight for inst in self.instances)
+        if not math.isfinite(total * math.log2(max(2, len(self.class_domain)))):
+            raise ValueError("instance weights add up to infinity, or so near "
+                             "it that training's entropy sums overflow")
 
     def __len__(self) -> int:
         return len(self.instances)

@@ -17,8 +17,8 @@ The learners share one split kernel, one grower and one pruner.  They
 differ only in the grower's two hooks (which attributes a node scores,
 how it picks the split) and in the pruner's error estimate, which starts
 from ``Leaf.errors``.  Every whole-tree traversal (growing, pruning,
-sizing, equality, hashing, saving, loading) runs on ``walk``, one
-explicit-stack walker, so trees of any depth work.
+sizing, equality, hashing, saving, loading, routing rows) runs on
+``walk``, one explicit-stack walker, so trees of any depth work.
 
 Training reads a dataset once into a column set: feature tuples, class
 indices and, above ``_SMALL_NODE`` rows, an n×A matrix (NaN if missing).
@@ -38,10 +38,10 @@ them by one rule, ``_goes_left``, to the heavier branch, in prediction and
 pruning alike, so every input receives a definite class.
 
 ``predict`` routes one feature vector.  ``predict_rows`` routes a whole
-n×A matrix (NaN marks a missing value there): it flattens the tree into
-arrays of attribute, threshold, children, leaf class and each node's
-missing-value direction (from ``_goes_left``), then moves every row down
-one level per step, so it gives ``predict``'s class for each row.
+n×A matrix (NaN marks a missing value there) on ``walk``: a task is a node
+and the indices of the rows that reach it, an internal node splits them
+by its test and ``_goes_left``, and a leaf writes its class for them, so
+each row gets ``predict``'s class and no subtree is entered without rows.
 
 Tie-breaking is pinned everywhere: lowest attribute index first, then
 smallest threshold, and class ties resolve to the earliest class-domain
@@ -261,23 +261,27 @@ def split_candidates(dataset: Dataset, attribute_index: int) -> List[float]:
     """Midpoints between consecutive distinct non-missing values.
 
     Empty when the attribute has fewer than two distinct values, or when
-    its present weight rounds away against its missing weight.
+    its present weight rounds away against its missing weight; a midpoint
+    that leaves one side a share of the total weight that rounds to 0 is
+    left out.
     """
     return [t for t, _gain, _ratio in _dataset_candidates(dataset, attribute_index)]
 
 
 def _split_at(dataset: Dataset, attribute_index: int, threshold: float):
     """(gain, ratio) of the candidate that partitions like ``threshold``."""
-    candidates = _dataset_candidates(dataset, attribute_index)
+    scored = {t: (gain, ratio)
+              for t, gain, ratio in _dataset_candidates(dataset, attribute_index)}
     values = sorted({inst.features[attribute_index]
                      for inst in dataset.instances
                      if inst.features[attribute_index] is not None})
     i = bisect.bisect_right(values, threshold)
-    if not 0 < i <= len(candidates):
+    midpoint = (values[i - 1] + values[i]) / 2.0 if 0 < i < len(values) else None
+    if midpoint not in scored:
         raise UndefinedSplitError(
             f"threshold {threshold} puts all weight on one side of "
             f"attribute {attribute_index}")
-    return candidates[i - 1][1:]
+    return scored[midpoint]
 
 
 def info_gain(dataset: Dataset, attribute_index: int, threshold: float) -> float:
@@ -363,7 +367,8 @@ def _attribute_candidates(columns: _Columns, node, attr: int, n_classes: int,
 
     Returns (best_gain, [(threshold, gain, ratio), ...]) with thresholds
     strictly increasing.  A candidate is admissible when both fractional
-    branch weights reach min_leaf and the right one did not round to 0.
+    branch weights reach min_leaf and neither one's share of the node's
+    weight rounds to 0.
     """
     if len(node) <= _SMALL_NODE:
         return _small_candidates(columns.features, node, attr, n_classes, min_leaf)
@@ -421,7 +426,9 @@ def _small_candidates(features, node, attr: int, n_classes: int, min_leaf: float
         frac = left_known / known_w
         lw = left_known + miss_w * frac
         rw = right_known + miss_w * (1.0 - frac)
-        if lw + EPS < min_leaf or rw + EPS < min_leaf or rw <= 0.0:
+        pl = lw / total_w
+        pr = rw / total_w
+        if lw + EPS < min_leaf or rw + EPS < min_leaf or pl <= 0.0 or pr <= 0.0:
             continue
         hl = 0.0
         hr = 0.0
@@ -435,8 +442,6 @@ def _small_candidates(features, node, attr: int, n_classes: int, min_leaf: float
         gain = parent_h - (lw * hl + rw * hr) / total_w
         if gain < 0.0:
             gain = 0.0
-        pl = lw / total_w
-        pr = rw / total_w
         ratio = gain / -(pl * _log2(pl) + pr * _log2(pr))
         if gain > best_gain:
             best_gain = gain
@@ -520,7 +525,9 @@ def _group_scores(values, weights, code, k: int, min_leaf: float):
     frac = left_known / known
     lw = left_known + miss * frac
     rw = (known - left_known) + miss * (1.0 - frac)
-    ok = (lw + EPS >= min_leaf) & (rw + EPS >= min_leaf) & (rw > 0.0)
+    # Neither side's share of the total weight may round to 0.
+    ok = ((lw + EPS >= min_leaf) & (rw + EPS >= min_leaf)
+          & (np.minimum(lw, rw) / total_w[col] > 0.0))
     col, row, frac, lw, rw = col[ok], row[ok], frac[ok], lw[ok], rw[ok]
 
     # Class counts left of each run end are running sums per column and
@@ -822,48 +829,12 @@ def predict(tree: DecisionTree, features: Sequence[Optional[float]]) -> Predicti
     return Prediction(tree.class_domain[node.predicted_index], distribution)
 
 
-class _FlatTree(NamedTuple):
-    """A tree as parallel arrays over its nodes, numbered in pre-order."""
-
-    attribute: np.ndarray  # -1 at a leaf
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    missing_left: np.ndarray  # where a missing value goes: _goes_left
-    leaf_class: np.ndarray  # a leaf's predicted class index
-
-
-def _flatten(root: Node) -> _FlatTree:
-    nodes: List[Node] = []
-    left: List[int] = []
-    right: List[int] = []
-
-    def expand(node):
-        here = len(nodes)
-        nodes.append(node)
-        left.append(here)
-        right.append(here)
-        return here, None if isinstance(node, Leaf) else (node.left, node.right)
-
-    def join(here, left_child, right_child):
-        left[here], right[here] = left_child, right_child
-        return here
-
-    walk(root, expand, join)
-    pairs = [(node, isinstance(node, Internal)) for node in nodes]
-    return _FlatTree(
-        np.array([n.attribute if i else -1 for n, i in pairs], dtype=np.intp),
-        np.array([n.threshold if i else 0.0 for n, i in pairs]),
-        np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
-        np.array([i and _goes_left(n, None) for n, i in pairs], dtype=bool),
-        np.array([0 if i else n.predicted_index for n, i in pairs], dtype=np.intp))
-
-
 def predict_rows(tree: DecisionTree, features) -> np.ndarray:
     """The class-domain index ``predict`` gives each row of an n×A matrix.
 
-    NaN marks a missing value; ±inf raises ValueError.  The tree is
-    flattened into arrays and every row descends one level per step.
+    NaN marks a missing value; ±inf raises ValueError.  The rows go down
+    the tree together on ``walk``: each node splits the indices of the
+    rows that reach it between its children, and a leaf writes its class.
     """
     values = np.asarray(features, dtype=np.float64)
     width = len(tree.attribute_names)
@@ -873,18 +844,22 @@ def predict_rows(tree: DecisionTree, features) -> np.ndarray:
     if np.isinf(values).any():
         raise ValueError("the feature matrix has an infinite value; "
                          "NaN marks a missing value")
-    flat = _flatten(tree.root)
-    node = np.zeros(len(values), dtype=np.intp)
-    rows = np.arange(len(values))
-    while rows.size:
-        at = node[rows]
-        inner = flat.attribute[at] >= 0
-        rows, at = rows[inner], at[inner]
-        value = values[rows, flat.attribute[at]]
-        goes_left = np.where(np.isnan(value), flat.missing_left[at],
-                             value <= flat.threshold[at])
-        node[rows] = np.where(goes_left, flat.left[at], flat.right[at])
-    return flat.leaf_class[node]
+    classes = np.zeros(len(values), dtype=np.intp)
+
+    def expand(task):
+        node, rows = task
+        if isinstance(node, Leaf):
+            classes[rows] = node.predicted_index
+            return None, None
+        if not rows.size:
+            return None, None
+        value = values[rows, node.attribute]
+        left = value <= node.threshold
+        left[np.isnan(value)] = _goes_left(node, None)
+        return None, ((node.left, rows[left]), (node.right, rows[~left]))
+
+    walk((tree.root, np.arange(len(values))), expand, lambda *_: None)
+    return classes
 
 
 def tree_size(tree: Union[DecisionTree, Node]) -> int:

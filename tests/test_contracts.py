@@ -5,8 +5,9 @@ single class, NaN and ±inf features, and weights log-uniform over
 [1e-300, 1e300], go through the instance and dataset constructors,
 training, prediction, cross-validation and model files.  Each call returns
 or raises ValueError or DataError (ModelFormatError is one); anything
-else, a RuntimeWarning included, fails the test.  A saved model loads
-and saves again to the same bytes.
+else, a RuntimeWarning included, fails the test.  ``predict_rows`` gives
+each row ``predict``'s class, and a saved model loads and saves again to
+the same bytes.
 """
 
 import math
@@ -78,7 +79,11 @@ def test_public_api_returns_or_raises_typed_errors(data):
             _typed(predict, model, feats)
         matrix = np.array([[math.nan if v is None else v for v in feats]
                            for feats, _label, _w in rows]).reshape(len(rows), n_attrs)
-        _typed(predict_rows, model, matrix)
+        routed = _typed(predict_rows, model, matrix)
+        if routed is not None:
+            assert routed.tolist() == [model.class_domain.index(predict(
+                model, [None if math.isnan(v) else v for v in row]).predicted_class)
+                for row in matrix.tolist()]
         text = save_model(model)
         assert save_model(load_model(text)) == text
 

@@ -321,6 +321,17 @@ def test_dataset_rejects_weights_adding_up_to_infinity():
             Dataset(("a0",), ("X", "Y"), instances)
 
 
+def test_dataset_rejects_weights_whose_entropy_sums_overflow():
+    # 40 × 4e306 is finite, but times log2 of 3 or 14 classes it is not:
+    # training's weighted entropy sums would overflow.
+    for classes in (("X", "Y", "Z"), CLASS_DOMAIN):
+        instances = tuple(
+            LabeledInstance((float(i % 7),), classes[i % len(classes)], weight=4e306)
+            for i in range(40))
+        with pytest.raises(ValueError, match="infinity"):
+            Dataset(("a0",), classes, instances)
+
+
 def test_dataset_from_pairs_round_trips_labels():
     record = StationYear("X", "R", 2014, (250.0,) * 12)
     dataset = dataset_from_pairs([(record, "C3")])

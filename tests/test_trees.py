@@ -83,16 +83,35 @@ class TestGain:
             gain_ratio(ds, 0, 0.5)
         # Weights so far apart that the smaller ones round away in a sum:
         # the present weight against the missing one, then the right
-        # side's weight against the left's.
+        # side's weight against the left's; last, the left side's share
+        # of the total rounds to 0.
         for rows, threshold in (([(None, "X", 1e16), (1.0, "Y", 1.0),
                                   (2.0, "X", 1.0)], 1.5),
-                                ([(0.0, "X", 1e300), (1.0, "Y", 1e-300)], 0.5)):
+                                ([(0.0, "X", 1e300), (1.0, "Y", 1e-300)], 0.5),
+                                ([(0.0, "Y", 1e-300), (1.0, "X", 1e300)], 0.5)):
             ds = Dataset(("a0",), ("X", "Y"), tuple(
                 LabeledInstance((v,), label, weight=w) for v, label, w in rows))
             assert split_candidates(ds, 0) == []
             for helper in (info_gain, gain_ratio):
                 with pytest.raises(UndefinedSplitError):
                     helper(ds, 0, threshold)
+        # Scored in numpy: the candidates left of 10.5 give the left side a
+        # share that rounds to 0, and 10.5 is scored as itself, not as the
+        # candidate at its position before them.
+        ds = Dataset(("a0",), ("X", "Y"), tuple(
+            LabeledInstance((float(i),), "XY"[i % 2],
+                            weight=1e-300 if i < 10 else 1e300)
+            for i in range(20)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for helper in (info_gain, gain_ratio):
+                for threshold in (0.5, 9.5):
+                    with pytest.raises(UndefinedSplitError):
+                        helper(ds, 0, threshold)
+            # left: 1e300 of X; right: 4e300 of X and 5e300 of Y
+            gain = 1.0 - 0.9 * entropy([4, 5])
+            assert info_gain(ds, 0, 10.5) == pytest.approx(gain)
+            assert gain_ratio(ds, 0, 10.5) == pytest.approx(gain / entropy([1, 9]))
 
     def test_fractional_missing_weighting(self):
         # one instance missing the split attribute splits 50/50 here
