@@ -59,7 +59,11 @@ def attribute_candidates(rows, attr, n_classes, min_leaf):
             i += 1
         if i == n:
             break
+        # The midpoint, unless it rounds onto the upper value (adjacent
+        # doubles) or overflows: then the lower value itself.
         threshold = (v + present[i][0]) / 2.0
+        if not v <= threshold < present[i][0]:
+            threshold = v
         right_known = known_w - left_known
         frac = left_known / known_w
         lw = left_known + miss_w * frac

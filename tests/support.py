@@ -1,8 +1,16 @@
-"""Shared generators for synthetic rainfall data and random datasets."""
+"""Shared generators for synthetic rainfall data and random datasets, and
+a runner for code that must finish within a time and memory bound."""
 
+import os
+import pathlib
 import random
+import resource
+import subprocess
+import sys
 
 from croptree import Dataset, LabeledInstance, StationYear
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 # Month layouts per climate class: W wet, M moist, D dry.  Each layout's
 # wet/dry runs land squarely inside one Oldeman cell, and the sampling
@@ -72,3 +80,19 @@ def random_feature_vector(rng, n_attrs, missing_prob=0.25):
     return tuple(None if rng.random() < missing_prob
                  else round(rng.uniform(-50.0, 450.0), 2)
                  for _ in range(n_attrs))
+
+
+def run_bounded(args, timeout=60, memory=1_500_000_000):
+    """Run ``python args`` in a fresh interpreter that imports croptree from
+    this checkout, within ``timeout`` seconds and ``memory`` bytes of
+    address space, a RuntimeWarning being an error: a runaway loop then
+    fails the test instead of hanging it or exhausting the machine."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
+    # numpy's BLAS reserves address space per thread, as many as there are
+    # cores; one thread keeps the bound the same on any machine.
+    env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *args],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=env, preexec_fn=limit)

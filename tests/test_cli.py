@@ -7,8 +7,9 @@ import pytest
 from croptree import (ALGORITHMS, StationYear, TrainParams, cli,
                       pattern_for_label, train, write_rainfall_file)
 from croptree.cli import main
+from croptree.dataset import LABELED_HEADER
 from croptree.evaluation import INDICATOR_ROWS
-from support import make_stations
+from support import make_stations, run_bounded
 
 
 @pytest.fixture()
@@ -222,6 +223,37 @@ class TestTrain:
         assert main(["train", rain_csv, "-o", str(model_b),
                      "--algorithm", "gainratio"]) == 0
         assert model_a.read_bytes() == model_b.read_bytes()
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("lo, hi", ((1.0000000000000002, 1.0000000000000004),
+                                        (1.6e308, 1.7e308)))
+    def test_neighbouring_values_train_within_bounds(self, tmp_path, algorithm,
+                                                     lo, hi):
+        # Their plain midpoint is no threshold between them (it rounds onto
+        # hi, or overflows), and training once looped until memory ran out.
+        src = tmp_path / "labeled.csv"
+        rows = [f"S{i},R,2013,{jan!r}," + ",".join(["150"] * 11) + f",{label}"
+                for i, (jan, label) in enumerate(((lo, "E"), (lo, "E"),
+                                                  (hi, "A1"), (hi, "A1")))]
+        src.write_text("\n".join([LABELED_HEADER, *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "model.txt"
+        done = run_bounded(["-m", "croptree.cli", "train", str(src), "-o",
+                            str(out), "--algorithm", algorithm])
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
+        assert out.exists()
+
+    def test_train_loads_no_scipy(self, tmp_path, rain_csv):
+        # Pruning's bound is computed in croptree itself; a fresh process
+        # that trains a pruned tree must not import scipy on the way.
+        code = ("import sys\n"
+                "from croptree.cli import main\n"
+                f"assert main(['train', {rain_csv!r}, '-o', "
+                f"{str(tmp_path / 'm.txt')!r}, '--algorithm', 'gainratio']) == 0\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        done = run_bounded(["-c", code])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_no_prune_flag_trains_unpruned_gainratio(self, tmp_path, rain_csv):
         out = tmp_path / "model.txt"

@@ -87,6 +87,20 @@ def test_kernel_matches_reference_past_one_slice():
                      reference_kernel.attribute_candidates(rows, attr, 5, 2))
 
 
+@pytest.mark.parametrize("n", (4, 17, 40))
+@pytest.mark.parametrize("lo, hi", ((1.0000000000000002, 1.0000000000000004),
+                                    (1.6e308, 1.7e308), (-1.7e308, -1.6e308)))
+def test_kernel_threshold_separates_neighbours(n, lo, hi):
+    """Where (lo + hi) / 2 rounds onto hi or overflows, both kernels fall
+    back to lo, which still sends lo left and hi right."""
+    rows = [((lo if i % 2 else hi, None if i % 5 == 0 else float(i)), i % 2, 1.0)
+            for i in range(n)]
+    columns, node = _columns(_rows_dataset(rows, 2, 2))
+    got = _attribute_candidates(columns, node, 0, 2, 1)
+    _assert_same(got, reference_kernel.attribute_candidates(rows, 0, 2, 1))
+    assert [t for t, _g, _r in got[1]] == [lo]
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_block_keeps_every_choice(monkeypatch, n):
     """A columnar node lists only the candidates a chooser can take; the

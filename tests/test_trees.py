@@ -1,21 +1,27 @@
 import itertools
+import json
 import math
 import pathlib
 import random
+import statistics
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from croptree import (CLASS_DOMAIN, Dataset, DecisionTree, LabeledInstance,
                       TrainParams, UndefinedSplitError, entropy, gain_ratio,
                       info_gain, load_model, predict, predict_rows, save_model,
                       split_candidates, train, tree_size)
-from croptree.trees import (Internal, Leaf, _attribute_candidates, _columns,
-                            _grow_max_gain, _reduced_error_prune,
+from croptree.trees import (Internal, Leaf, _attribute_candidates,
+                            _beta_upper_quantile, _columns, _grow_max_gain,
+                            _ibeta, _reduced_error_prune,
                             _upper_error_estimate, walk)
-from support import random_consistent_dataset, random_dataset
+from support import random_consistent_dataset, random_dataset, run_bounded
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -63,6 +69,42 @@ class TestSplitCandidates:
     def test_ignores_missing(self):
         ds = _dataset([(100.0, 0, "X"), (None, 0, "X"), (200.0, 0, "Y")])
         assert split_candidates(ds, 0) == [150.0]
+
+    @pytest.mark.parametrize("lo, hi", ((1.0000000000000002, 1.0000000000000004),
+                                        (1.6e308, 1.7e308), (-1.7e308, -1.6e308)))
+    def test_threshold_lies_strictly_between_neighbours(self, lo, hi):
+        # (lo + hi) / 2 rounds onto hi for adjacent doubles and overflows
+        # for huge ones.  Such a threshold sent every row left, and the
+        # grower split the same node until memory ran out, so the learners
+        # run in a child process under a time and memory bound.  4 rows go
+        # through the Python kernel, 20 through numpy.
+        code = f"""
+import json
+from croptree import (ALGORITHMS, Dataset, LabeledInstance, TrainParams,
+                      predict, split_candidates, train)
+out = {{}}
+for n in (4, 20):
+    ds = Dataset(("a0",), ("X", "Y"), tuple(
+        LabeledInstance(({lo!r},) if i % 2 else ({hi!r},), "X" if i % 2 else "Y")
+        for i in range(n)))
+    got = out[n] = {{"candidates": split_candidates(ds, 0)}}
+    for algorithm in ALGORITHMS:
+        tree = train(ds, TrainParams(algorithm, min_leaf=1))
+        got[algorithm] = (getattr(tree.root, "threshold", None),
+                          predict(tree, ({lo!r},)).predicted_class,
+                          predict(tree, ({hi!r},)).predicted_class)
+print(json.dumps(out))
+"""
+        done = run_bounded(["-c", code])
+        assert done.returncode == 0, done.stderr
+        for n, got in json.loads(done.stdout).items():
+            assert got.pop("candidates") == [lo]
+            for algorithm, (threshold, left, right) in got.items():
+                if algorithm == "reducederror" and n == "4":
+                    # grown on 3 rows, pruned on the fourth: may be a leaf
+                    assert threshold in (lo, None)
+                    continue
+                assert (threshold, left, right) == (lo, "X", "Y"), algorithm
 
 
 class TestGain:
@@ -420,14 +462,124 @@ class TestPredictRows:
             predict_rows(tree, matrix)
 
 
+def _estimate(n, e, cf):
+    """``_upper_error_estimate`` of a leaf of weight n with e errors."""
+    return _upper_error_estimate(SimpleNamespace(weight=n, errors=e), cf)
+
+
+# Total weights log-uniform over all that a Dataset accepts, errors any
+# share of them, confidence factors anywhere in (0, 1).
+WEIGHTS = st.floats(-300.0, math.log10(1.7e308)).map(lambda x: 10.0 ** x)
+SHARES = st.floats(0.0, 1.0, exclude_max=True)
+FACTORS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def _reference_bounds():
+    """(kind, a, b, cf, scipy's value, exact value) rows of
+    golden/upper_bounds.csv; its header says how they were made."""
+    lines = (GOLDEN_DIR / "upper_bounds.csv").read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    assert rows[0] == ["kind", "a", "b", "cf", "scipy", "exact"]
+    return [(kind, *map(float, values)) for kind, *values in rows[1:]]
+
+
+def _ulps(got, want):
+    return abs(got - want) / math.ulp(want)
+
+
+class TestIncompleteBeta:
+    """The regularized incomplete beta function and the quantile that
+    pruning takes from it, against checked-in reference values."""
+
+    @pytest.mark.parametrize("kind", ("grid", "huge", "bench"))
+    def test_quantile_within_ulps_of_exact_values(self, kind):
+        rows = [r for r in _reference_bounds() if r[0] == kind]
+        errors = [_ulps(_beta_upper_quantile(a, b, cf), exact)
+                  for _kind, a, b, cf, _scipy, exact in rows]
+        # measured: median 0 ulps (grid, huge) and 1 (bench), at most 9
+        assert statistics.median(errors) <= 1
+        for (_kind, a, b, cf, _scipy, exact), err in zip(rows, errors):
+            assert err * math.ulp(exact) <= 1e-14 * exact, (a, b, cf)
+
+    def test_quantile_against_scipy(self):
+        # scipy.special.betaincinv, which pruning called before: a few ulps
+        # apart in the median.  Where scipy itself is off the exact value
+        # (nan near 1e306, up to 8e-13 relative elsewhere: 32 rows), only
+        # the exact value is a gate.
+        rows = [r for r in _reference_bounds() if math.isfinite(r[4])]
+        errors = [_ulps(_beta_upper_quantile(a, b, cf), scipy)
+                  for _kind, a, b, cf, scipy, _exact in rows]
+        assert statistics.median(errors) <= 4
+        for (_kind, a, b, cf, scipy, exact), err in zip(rows, errors):
+            if abs(scipy - exact) <= 1e-14 * exact:
+                assert err * math.ulp(scipy) <= 1e-13 * scipy, (a, b, cf)
+
+    def test_ibeta_tails_at_exact_quantiles(self):
+        # 1 - I_x(a, b) at the exact quantile x, rounded to a double, is cf
+        # up to the change that rounding makes: the density times an ulp.
+        for _kind, a, b, cf, _scipy, x in _reference_bounds():
+            if 0.0 < x < 1.0 and max(a, b) < 1e300:
+                _p, q = _ibeta(a, b, x)
+                density = math.exp(
+                    (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
+                    + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
+                assert abs(q - cf) <= 1e-14 * cf + density * math.ulp(x), (a, b, cf)
+
+    def test_ibeta_closed_forms(self):
+        for x in (1e-9, 0.01, 0.3, 0.5, 0.77, 0.999):
+            for a in (0.5, 1.0, 2.5, 17.0):
+                p, q = _ibeta(a, 1.0, x)  # I_x(a, 1) = x^a
+                assert p == pytest.approx(x ** a, rel=1e-14)
+                assert p + q == 1.0
+                p, q = _ibeta(1.0, a, x)  # I_x(1, b) = 1 - (1 - x)^b
+                assert q == pytest.approx((1.0 - x) ** a, rel=1e-14)
+            # Student t with 1 and 2 degrees of freedom, t² = 1/x - 1 (1)
+            # or 2/x - 2 (2): the two-sided tail I_x(ν/2, 1/2)
+            t = math.sqrt(1.0 / x - 1.0)
+            assert _ibeta(0.5, 0.5, x)[0] == pytest.approx(
+                1.0 - 2.0 / math.pi * math.atan(t), rel=1e-13)
+            t = math.sqrt(2.0 / x - 2.0)
+            assert _ibeta(1.0, 0.5, x)[0] == pytest.approx(
+                1.0 - t / math.sqrt(2.0 + t * t), rel=1e-13)
+        for a in (0.5, 3.0, 40.0, 1e5):
+            assert _ibeta(a, a, 0.5) == pytest.approx((0.5, 0.5), rel=1e-14)
+
+
 class TestPruning:
     def test_upper_error_estimate_known_value(self):
-        # zero observed errors: bound is n * (1 - cf**(1/n))
-        n = 10.0
-        expected = n * (1.0 - 0.25 ** (1.0 / n))
+        # zero observed errors: 1 - I_U(1, n) = (1 - U)^n = cf, so the
+        # bound is n * (1 - cf**(1/n))
+        for n in (1e-3, 0.5, 1.0, 2.5, 10.0, 333.3, 1e5, 1e150, 1.7e308):
+            for cf in (0.01, 0.1, 0.25, 0.5, 0.9):
+                assert _estimate(n, 0.0, cf) == pytest.approx(
+                    n * -math.expm1(math.log(cf) / n), rel=1e-14)
         assert _upper_error_estimate(Leaf((10.0, 0.0)), 0.25) == \
-            pytest.approx(expected, abs=1e-12)
+            pytest.approx(10.0 * (1.0 - 0.25 ** 0.1), rel=1e-14)
         assert _upper_error_estimate(Leaf((0.0, 0.0)), 0.25) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=WEIGHTS, shares=st.tuples(SHARES, SHARES),
+           factors=st.tuples(FACTORS, FACTORS))
+    def test_estimate_is_monotone_and_bounded(self, n, shares, factors):
+        e1, e2 = sorted(n * s for s in shares)
+        low, high = sorted(factors)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = {(e, cf): _estimate(n, e, cf)
+                   for e in (e1, e2) for cf in (low, high)}
+        # Up to rounding: n times a quantile that rounded down may land an
+        # ulp or two below e, or below an estimate that is equal in exact
+        # arithmetic.
+        slack = 1.0 - 1e-15
+        for (e, cf), value in est.items():
+            assert math.isfinite(value) and 0.0 <= value <= n
+            if cf <= 0.5:
+                assert value >= e * slack
+        # non-decreasing in the errors, non-increasing in the confidence
+        for cf in (low, high):
+            assert est[e1, cf] * slack <= est[e2, cf]
+        for e in (e1, e2):
+            assert est[e, high] * slack <= est[e, low]
 
     def test_estimate_exceeds_observed_errors(self):
         rng = random.Random(23)
