@@ -149,8 +149,10 @@ def _emit(text: str, path: Optional[str]) -> None:
 
 
 def _read_table(path: str) -> RainfallTable:
-    """The rainfall file at ``path``, raw or labeled; callers name the file."""
-    return parse_table(pathlib.Path(path).read_bytes())
+    """The rainfall file at ``path``, raw or labeled; callers name the file.
+    Parsing the open file frees its bytes once they are decoded."""
+    with open(path, "rb") as fh:
+        return parse_table(fh)
 
 
 def _load_dataset(path: str, policy: MissingPolicy) -> Dataset:

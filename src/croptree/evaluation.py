@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .dataset import Dataset, stratified_folds
-from .trees import DecisionTree, Prediction, TrainParams, predict, train, tree_size
+from .trees import (DecisionTree, Prediction, TrainParams, _columns, _train,
+                    predict, train, tree_size)
 
 INDICATOR_ROWS = (
     "Classification Accuracy (%)",
@@ -145,18 +146,18 @@ def cross_validate(dataset: Dataset, params: TrainParams, k: int,
                    seed: int = 1) -> EvaluationReport:
     """Stratified k-fold cross-validation.
 
-    Every instance is predicted exactly once by a model that never saw
-    it; the confusion matrix and errors pool across folds, while the
-    reported tree size comes from a final model trained on all the data.
+    Each instance is predicted once by a model trained on the other folds'
+    row indices into one column set; the confusion matrix and errors pool
+    across folds, while the tree size is a final model's, trained on all data.
     """
     folds = stratified_folds(dataset, k, seed)
+    columns, node = _columns(dataset)
     predictions: List[Optional[Prediction]] = [None] * len(dataset.instances)
     for fold_no, fold in enumerate(folds):
         held = set(fold)
-        train_instances = tuple(inst for i, inst in enumerate(dataset.instances)
-                                if i not in held)
         fold_params = replace(params, seed=seed * 1_000_003 + fold_no)
-        model = train(replace(dataset, instances=train_instances), fold_params)
+        model = _train(dataset, columns, [row for row in node if row[0] not in held],
+                       fold_params)
         for i in fold:
             predictions[i] = predict(model, dataset.instances[i].features)
     return _score(predictions, dataset, tree_size(train(dataset, params)))

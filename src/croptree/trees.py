@@ -4,14 +4,14 @@ All learners share one representation: an internal node tests a single
 numeric attribute against a threshold (<= goes left, > goes right) and a
 leaf carries the per-class training weight it received.
 
-* ``gainratio`` grows by gain ratio with the C4.5 mean-gain attribute
-  filter, then prunes by subtree replacement using a pessimistic binomial
-  upper-confidence error estimate.
-* ``randomsubset`` examines a random subset of attributes at each node
-  (extending past the subset until a positive-gain attribute turns up),
-  splits on the best information gain, and never prunes.
-* ``reducederror`` grows on part of the data by information gain and
-  prunes bottom-up against the held-out remainder.
+* ``gainratio`` (J48) grows by gain ratio with the C4.5 mean-gain
+  attribute filter, then prunes by subtree replacement using a pessimistic
+  binomial upper-confidence error estimate.
+* ``randomsubset`` (RandomTree) examines a random subset of attributes at
+  each node (extending past the subset until a positive-gain attribute
+  turns up), splits on the best information gain, and never prunes.
+* ``reducederror`` (REPTree) grows on part of the data by information gain
+  and prunes bottom-up against the held-out remainder.
 
 The learners share one split kernel, one grower and one pruner.  They
 differ only in the grower's two hooks (which attributes a node scores,
@@ -22,8 +22,8 @@ sizing, equality, hashing, saving, loading, routing rows) runs on
 
 Training reads a dataset once into a column set: feature tuples, class
 indices and, above ``_SMALL_NODE`` rows, an n×A matrix (NaN if missing).
-Every node, reduced-error pruning's holdout too, is a list of (row index,
-class index, weight) triples into it, counted and partitioned in Python.
+Every node, pruning holdout and cross-validation fold is a list of (row
+index, class index, weight) triples into it, counted and partitioned in Python.
 A node of more than ``_SMALL_NODE`` rows has all its split candidates
 scored at once in numpy; smaller ones are scored in Python, where numpy's
 cost per call outweighs the work.  Both kernels choose the same splits.  The
@@ -705,12 +705,6 @@ def _grow(columns: _Columns, root, n_classes: int, score, choose) -> Node:
                 lambda choice, left, right: Internal(*choice, left, right))
 
 
-def _grow_max_gain(columns: _Columns, node, n_attrs: int, n_classes: int,
-                   min_leaf: int) -> Node:
-    return _grow(columns, node, n_classes,
-                 _score_all(n_attrs, n_classes, min_leaf), _choose_by_gain)
-
-
 # The regularized incomplete beta function I_x(a, b) and its inverse, for
 # the binomial bound of pessimistic pruning.
 
@@ -1046,23 +1040,13 @@ def _reduced_error_prune(columns: _Columns, hold, root: Node):
     return _prune(root, errors, route, hold)
 
 
-def _train_reduced_error(columns: _Columns, node, n_attrs: int, n_classes: int,
-                         params: TrainParams) -> Node:
-    """Shuffle ``node`` by the seed, grow on its head, prune on its tail."""
-    random.Random(params.seed).shuffle(node)
-    cut = len(node) - len(node) // params.prune_folds
-    root = _grow_max_gain(columns, node[:cut], n_attrs, n_classes, params.min_leaf)
-    root, _err = _reduced_error_prune(columns, node[cut:], root)
-    return root
-
-
-def train(dataset: Dataset, params: TrainParams) -> DecisionTree:
-    """Train a tree; deterministic for a fixed (dataset, params) pair."""
-    if not dataset.instances:
+def _train(dataset: Dataset, columns: _Columns, node,
+           params: TrainParams) -> DecisionTree:
+    """``train`` on the rows ``node`` of ``columns``; ``node`` is left as it is."""
+    if not node:
         raise ValueError("training dataset is empty")
     n_attrs = len(dataset.attribute_names)
     n_classes = len(dataset.class_domain)
-    columns, node = _columns(dataset)
     if params.algorithm == "gainratio":
         root = _grow(columns, node, n_classes,
                      _score_all(n_attrs, n_classes, params.min_leaf),
@@ -1081,9 +1065,20 @@ def train(dataset: Dataset, params: TrainParams) -> DecisionTree:
                      _score_random_subset(n_attrs, n_classes, k, params.seed),
                      _choose_by_gain)
     else:
-        root = _train_reduced_error(columns, node, n_attrs, n_classes, params)
+        node = list(node)
+        random.Random(params.seed).shuffle(node)
+        cut = len(node) - len(node) // params.prune_folds
+        root = _grow(columns, node[:cut], n_classes,
+                     _score_all(n_attrs, n_classes, params.min_leaf),
+                     _choose_by_gain)
+        root, _errors = _reduced_error_prune(columns, node[cut:], root)
     return DecisionTree(root, tuple(dataset.attribute_names),
                         tuple(dataset.class_domain), params)
+
+
+def train(dataset: Dataset, params: TrainParams) -> DecisionTree:
+    """Train a tree; deterministic for a fixed (dataset, params) pair."""
+    return _train(dataset, *_columns(dataset), params)
 
 
 def predict(tree: DecisionTree, features: Sequence[Optional[float]]) -> Prediction:

@@ -24,8 +24,8 @@ from croptree import (CLASS_DOMAIN, ConfusionMatrix, Dataset, LabeledInstance,
                       split_candidates, stratified_folds, train, tree_size,
                       write_rainfall_file)
 from croptree.cli import main
-from croptree.trees import (Internal, _columns, _grow_max_gain,
-                            _reduced_error_prune)
+from croptree.trees import (Internal, _choose_by_gain, _columns, _grow,
+                            _reduced_error_prune, _score_all)
 from support import make_stations, random_dataset, random_feature_vector
 
 
@@ -257,7 +257,9 @@ def test_criterion_6f_reduced_error_pruning_safety():
             columns, rows = _columns(ds)
             rng.shuffle(rows)
             cut = max(1, (2 * len(rows)) // 3)
-            grown = _grow_max_gain(columns, rows[:cut], 3, len(ds.class_domain), 1)
+            n_classes = len(ds.class_domain)
+            grown = _grow(columns, rows[:cut], n_classes,
+                          _score_all(3, n_classes, 1), _choose_by_gain)
             hold = rows[cut:]
             pruned, pruned_err = _reduced_error_prune(columns, hold, grown)
             assert pruned_err <= holdout_errors(grown, hold) + 1e-9

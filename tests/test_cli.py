@@ -1,13 +1,20 @@
+import contextlib
 import csv
+import functools
 import io
+import math
 import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from croptree import (ALGORITHMS, StationYear, TrainParams, cli,
-                      pattern_for_label, train, write_rainfall_file)
+from croptree import (ALGORITHMS, CroppingPattern, Dataset, LabeledInstance,
+                      StationYear, TrainParams, cli, label_dataset,
+                      pattern_for_label, save_model, train, write_rainfall_file)
 from croptree.cli import main
-from croptree.dataset import LABELED_HEADER
+from croptree.dataset import LABELED_HEADER, RAINFALL_HEADER
 from croptree.evaluation import INDICATOR_ROWS
 from support import make_stations, run_bounded
 
@@ -198,7 +205,7 @@ class TestTrain:
         assert not out.exists()
 
     def test_header_only_labeled_file_is_data_error(self, tmp_path, capsys):
-        from croptree.dataset import LABELED_HEADER
+        from croptree.dataset import LABELED_HEADER, RAINFALL_HEADER
         src = tmp_path / "labeled.csv"
         src.write_text(LABELED_HEADER + "\n", encoding="utf-8")
         assert main(["train", str(src), "-o", str(tmp_path / "m.txt"),
@@ -457,3 +464,132 @@ class TestUsage:
         assert err == f"error: cannot write {out}: {reason}\n"
         assert "Traceback" not in err
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+# ---------------------------------------------------------------------------
+# The CLI as a total function: random argv over the four commands, with
+# rainfall and model files mutated, always exits 0, 1 or 2 without raising,
+# and a failed run leaves neither its output file nor a temporary sibling.
+
+# Finite, nonnegative or missing cells: adjacent doubles (100 and the next
+# one up), the two largest finite doubles, an empty cell.
+GOOD_CELLS = ("0", "55.5", "150", "250.25", "100", repr(math.nextafter(100.0, 200.0)),
+              "1.7976931348623155e308", "1.7976931348623157e308", "")
+# Cells no rainfall file may hold, at most a few to a file.
+BAD_CELLS = ("nan", "inf", "-inf", "-1", "1.8e308", "1e309", "x", "1,2")
+
+POLICIES = ("zerofill", "skip", "error", "nope")
+B3_PATTERNS = tuple(c.value for c in CroppingPattern) + ("nope",)
+FLAGS = {
+    "oldeman": (("--missing-policy", POLICIES), ("--b3-pattern", B3_PATTERNS)),
+    "train": (("--min-leaf", ("1", "2", "0", "x")),
+              ("--confidence-factor", ("0.25", "0.5", "0")),
+              ("--no-prune", None), ("--k", ("auto", "3", "0", "13")),
+              ("--prune-folds", ("3", "2", "1")), ("--seed", ("0", "7", "-3")),
+              ("--missing-policy", POLICIES)),
+    "compare": (("--algorithms", ("gainratio", "randomsubset,reducederror",
+                                  "nope", ",", "gainratio,gainratio")),
+                ("--cv", ("2", "3", "10", "0", "1000")),
+                ("--resubstitution", None), ("--seed", ("0", "7", "-3")),
+                ("--missing-policy", POLICIES)),
+    "recommend": (("--complete-only", None), ("--b3-pattern", B3_PATTERNS)),
+}
+MODEL_EDITS = ("keep",) * 4 + ("cut", "byte", "line", "foreign", "empty", "missing")
+
+
+@functools.cache
+def _models():
+    """A rainfall-pipeline model and one over other attributes and classes."""
+    own = train(label_dataset(make_stations(n=12, seed=3)),
+                TrainParams("gainratio", min_leaf=1))
+    other = Dataset(("a0",), ("X", "Y"), (LabeledInstance((1.0,), "X"),
+                                          LabeledInstance((2.0,), "Y")))
+    return save_model(own), save_model(train(other, TrainParams("gainratio", min_leaf=1)))
+
+
+@st.composite
+def rainfall_texts(draw):
+    """A well-formed rainfall file, raw or labeled, then up to three edits."""
+    labeled = draw(st.booleans())
+    rows = []
+    for i in range(draw(st.integers(0, 8))):
+        cells = [f"S{i}", draw(st.sampled_from(("R", "Banten"))),
+                 draw(st.sampled_from(("2013", "2014")))]
+        cells += draw(st.lists(st.sampled_from(GOOD_CELLS), min_size=12, max_size=12))
+        if labeled:
+            cells.append(draw(st.sampled_from(("A1", "C3", "E"))))
+        rows.append(cells)
+    lines = [LABELED_HEADER if labeled else RAINFALL_HEADER]
+    lines += [",".join(row) for row in rows]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 0, 1, 2, 3)))):
+        i = draw(st.integers(0, len(lines) - 1))
+        cells = lines[i].split(",")
+        j = draw(st.integers(0, len(cells) - 1))
+        edit = draw(st.sampled_from(("cell", "cell", "drop", "add", "label", "copy")))
+        if edit == "cell":
+            cells[j] = draw(st.sampled_from(BAD_CELLS + ("", "-0.0", "2013")))
+        elif edit == "drop":
+            del cells[j]
+        elif edit == "add":
+            cells.insert(j, draw(st.sampled_from(GOOD_CELLS)))
+        elif edit == "label":
+            cells[-1] = draw(st.sampled_from(("Z9", "", "climate_class")))
+        lines[i] = ",".join(cells)
+        if edit == "copy":
+            lines.append(lines[i])
+    return "\n".join(lines) + "\n"
+
+
+def _model_bytes(edit, position, char):
+    """The pipeline model after ``edit``; None for no file at all."""
+    own, foreign = _models()
+    if edit == "cut":
+        return own[:position % len(own)]
+    if edit == "byte":
+        i = position % len(own)
+        return own[:i] + char + own[i + 1:]
+    if edit == "line":
+        lines = own.split(b"\n")
+        del lines[position % len(lines)]
+        return b"\n".join(lines)
+    return {"keep": own, "foreign": foreign, "empty": b"", "missing": None}[edit]
+
+
+MODEL_FILES = st.builds(_model_bytes, st.sampled_from(MODEL_EDITS),
+                        st.integers(0, 10**6),
+                        st.sampled_from([bytes([c]) for c in b"x:| \n9-"]))
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_cli_exits_0_1_or_2_and_leaves_no_output_on_failure(data):
+    command = data.draw(st.sampled_from(sorted(FLAGS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        rain = tmp / "rain.csv"
+        rain.write_text(data.draw(rainfall_texts()), encoding="utf-8")
+        rain = data.draw(st.sampled_from((rain,) * 6 + (tmp / "nope.csv", tmp)))
+        argv = [command, str(rain)]
+        if command == "recommend":
+            model = tmp / "model.txt"
+            text = data.draw(MODEL_FILES)
+            if text is not None:
+                model.write_bytes(text)
+            argv.insert(1, str(model))
+        if command == "train" and data.draw(st.integers(0, 9)):
+            argv += ["--algorithm", data.draw(st.sampled_from(ALGORITHMS + ("nope",)))]
+        for flag, values in data.draw(st.lists(st.sampled_from(FLAGS[command]),
+                                               max_size=3, unique=True)):
+            argv += [flag] if values is None else [flag, data.draw(st.sampled_from(values))]
+        out = data.draw(st.sampled_from((tmp / "out.txt",) * 4
+                                        + (tmp / "no" / "out.txt", None)))
+        if out is not None:
+            argv += ["-o", str(out)]
+
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if out is not None:
+            assert out.exists() == (code == 0), argv
+        assert not list(tmp.rglob("*.tmp")), argv

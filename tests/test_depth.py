@@ -15,7 +15,8 @@ from croptree import (CLASS_DOMAIN, MONTH_NAMES, Dataset, LabeledInstance,
                       StationYear, TrainParams, load_model, predict, predict_rows,
                       save_model, train, tree_size, write_rainfall_file)
 from croptree.cli import main
-from croptree.trees import Internal, Leaf, _columns, _grow_max_gain, walk
+from croptree.trees import (Internal, Leaf, _choose_by_gain, _columns, _grow,
+                            _score_all, walk)
 
 N_ROWS = 1500
 
@@ -66,7 +67,8 @@ def test_randomsubset_trains_deep_tree(trained):
 @pytest.fixture(scope="module")
 def max_gain_root():
     """The reducederror learner's grower, before pruning."""
-    return _grow_max_gain(*_columns(_alternating_dataset()), 1, 2, 1)
+    return _grow(*_columns(_alternating_dataset()), 2, _score_all(1, 2, 1),
+                 _choose_by_gain)
 
 
 def test_max_gain_grower_grows_deep_tree(max_gain_root):

@@ -1,13 +1,15 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from croptree import (CLASS_DOMAIN, ConfusionMatrix, Dataset, LabeledInstance,
-                      MONTH_NAMES, Prediction, TrainParams, accuracy, compare,
-                      cross_validate, evaluate_holdout, kappa,
-                      probabilistic_errors, train)
+from croptree import (ALGORITHMS, CLASS_DOMAIN, ConfusionMatrix, Dataset,
+                      LabeledInstance, MONTH_NAMES, Prediction, TrainParams,
+                      accuracy, compare, cross_validate, evaluate_holdout,
+                      kappa, probabilistic_errors, save_model,
+                      stratified_folds, train)
 from croptree.evaluation import INDICATOR_ROWS
-from croptree.trees import DecisionTree, Leaf
+from croptree.trees import DecisionTree, Leaf, _columns, _train
 from support import random_dataset
 
 
@@ -161,6 +163,55 @@ class TestCrossValidate:
         ds = _threshold_dataset(23)
         report = cross_validate(ds, TrainParams("gainratio"), 4, seed=3)
         assert report.confusion.total == 23
+
+
+def _weighted_dataset(rng, n):
+    """``n`` rows over 4 attributes and 3 classes, with missing cells, tied
+    values and fractional weights."""
+    instances = []
+    for _ in range(n):
+        features = tuple(None if rng.random() < 0.15 else
+                         rng.choice((50.0, 100.0, round(rng.uniform(0.0, 400.0), 1)))
+                         for _ in range(4))
+        weight = rng.choice((1.0, 1.0, 0.5, 2.0 / 3.0, rng.uniform(0.1, 3.0)))
+        instances.append(LabeledInstance(features, rng.choice("XYZ"), weight))
+    return Dataset(("a0", "a1", "a2", "a3"), ("X", "Y", "Z"), tuple(instances))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_fold_rows_train_as_a_copied_dataset(algorithm):
+    """A fold trained on row indices into the whole dataset's column set
+    saves the bytes of the same fold trained as a Dataset of its own.  At
+    most 16 rows, ``_columns`` builds no matrix and only the Python kernel
+    runs; above, the numpy kernel scores the larger nodes."""
+    rng = random.Random(f"fold rows {algorithm}")
+    for n in (3, 8, 16, 17, 31, 60):
+        dataset = _weighted_dataset(rng, n)
+        columns, node = _columns(dataset)
+        for k in sorted({2, 3, 10, n} & set(range(2, n + 1))):
+            for fold_no, fold in enumerate(stratified_folds(dataset, k, seed=n)):
+                held = set(fold)
+                params = TrainParams(algorithm, seed=fold_no)
+                rows = [row for row in node if row[0] not in held]
+                kept = list(rows)
+                copied = replace(dataset, instances=tuple(
+                    inst for i, inst in enumerate(dataset.instances) if i not in held))
+                assert (save_model(_train(dataset, columns, rows, params))
+                        == save_model(train(copied, params))), (n, k, fold_no)
+                assert rows == kept
+
+
+def test_cross_validate_builds_no_dataset(dataset75, monkeypatch):
+    checks = []
+    original = Dataset.__post_init__
+
+    def counted(self):
+        checks.append(self)
+        original(self)
+    monkeypatch.setattr(Dataset, "__post_init__", counted)
+    for algorithm in ALGORITHMS:
+        cross_validate(dataset75, TrainParams(algorithm), 5, seed=1)
+    assert checks == []
 
 
 class TestEvaluateHoldout:

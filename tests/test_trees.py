@@ -18,8 +18,8 @@ from croptree import (CLASS_DOMAIN, Dataset, DecisionTree, LabeledInstance,
                       info_gain, load_model, predict, predict_rows, save_model,
                       split_candidates, train, tree_size)
 from croptree.trees import (Internal, Leaf, _attribute_candidates,
-                            _beta_upper_quantile, _columns, _grow_max_gain,
-                            _ibeta, _reduced_error_prune,
+                            _beta_upper_quantile, _choose_by_gain, _columns,
+                            _grow, _ibeta, _reduced_error_prune, _score_all,
                             _upper_error_estimate, walk)
 from support import random_consistent_dataset, random_dataset, run_bounded
 
@@ -612,7 +612,9 @@ class TestPruning:
             columns, rows = _columns(ds)
             rng.shuffle(rows)
             cut = max(1, (2 * len(rows)) // 3)
-            grown = _grow_max_gain(columns, rows[:cut], 3, len(ds.class_domain), 1)
+            n_classes = len(ds.class_domain)
+            grown = _grow(columns, rows[:cut], n_classes,
+                          _score_all(3, n_classes, 1), _choose_by_gain)
             hold = rows[cut:]
             pruned, pruned_err = _reduced_error_prune(columns, hold, grown)
 
