@@ -234,9 +234,7 @@ def _cmd_train(args) -> int:
     dataset = _load_dataset(args.input, MissingPolicy(args.missing_policy))
     model = train(dataset, params)
     _atomic_write(args.output, save_model(model))
-    predicted = predict_rows(model, [inst.features for inst in dataset.instances])
-    correct = sum(model.class_domain[c] == inst.label
-                  for c, inst in zip(predicted.tolist(), dataset.instances))
+    correct = np.count_nonzero(predict_rows(model, dataset.values) == dataset.classes)
     print(f"tree size: {tree_size(model)}")
     print(f"training accuracy: {100.0 * correct / len(dataset):.2f}%")
     return 0

@@ -16,8 +16,9 @@ with Python's `float`, and the first error in file order is raised.
 `parse_rainfall_file`, `parse_labeled_file`, `StationYear` and `Dataset`
 are views built from the table, whose values reach them as Python floats.
 Instance rules (finite features, a positive finite weight) are checked
-when a `LabeledInstance` is built and set rules (width, labels, finite
-total weight) by `Dataset`, so training never checks an instance again.
+when a `LabeledInstance` is built and set rules (distinct class names,
+width, labels, finite total weight) by `Dataset`, whose derived columns
+are all that training reads, so training never checks an instance again.
 
 Labeling attaches an Oldeman class to every station-year: `label_table`
 labels a table's whole matrix at once (`climate.classify_rows`), and
@@ -33,6 +34,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -106,9 +108,11 @@ class Dataset:
 
     The class domain is fixed up front (all 14 Oldeman codes for the
     rainfall pipeline) so models and confusion matrices stay comparable
-    even when the data covers fewer types.  Every instance has one feature
-    per attribute and a label in the domain; their weights add up finitely,
-    with room for the total times log2 of the class count.
+    even when the data covers fewer types; it names no class twice.  Every
+    instance has one feature per attribute and a label in the domain;
+    their weights add up finitely, with room for the total times log2 of
+    the class count.  The derived columns are built once, on first use,
+    and take no part in equality or hashing.
     """
 
     attribute_names: Tuple[str, ...]
@@ -117,6 +121,8 @@ class Dataset:
 
     def __post_init__(self):
         domain = set(self.class_domain)
+        if len(domain) != len(self.class_domain):
+            raise ValueError("class domain repeats a class name")
         width = len(self.attribute_names)
         for inst in self.instances:
             if len(inst.features) != width:
@@ -133,6 +139,25 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.instances)
+
+    @cached_property
+    def features(self) -> Tuple[Tuple[Optional[float], ...], ...]:
+        """Each instance's feature tuple."""
+        return tuple(inst.features for inst in self.instances)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The n×A float64 feature matrix, NaN for a missing value."""
+        values = np.array(self.features, dtype=np.float64).reshape(
+            len(self), len(self.attribute_names))
+        values.flags.writeable = False
+        return values
+
+    @cached_property
+    def classes(self) -> Tuple[int, ...]:
+        """Each instance's class-domain index."""
+        index = {c: i for i, c in enumerate(self.class_domain)}
+        return tuple(index[inst.label] for inst in self.instances)
 
     def class_index(self, label: str) -> int:
         return self.class_domain.index(label)
@@ -472,9 +497,8 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> List[List[int]]:
     rng = random.Random(seed)
     folds: List[List[int]] = [[] for _ in range(k)]
     offset = 0
-    for cls in dataset.class_domain:
-        members = [i for i, inst in enumerate(dataset.instances)
-                   if inst.label == cls]
+    for cls in range(len(dataset.class_domain)):
+        members = [i for i, c in enumerate(dataset.classes) if c == cls]
         rng.shuffle(members)
         for j, idx in enumerate(members):
             folds[(offset + j) % k].append(idx)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .dataset import Dataset, stratified_folds
-from .trees import (DecisionTree, Prediction, TrainParams, _columns, _train,
+from .trees import (DecisionTree, Prediction, TrainParams, _root, _train,
                     predict, train, tree_size)
 
 INDICATOR_ROWS = (
@@ -121,11 +121,10 @@ class EvaluationReport:
 def _score(predictions: Sequence[Prediction], dataset: Dataset,
            size: int) -> EvaluationReport:
     """The report for one prediction per instance of ``dataset``."""
-    index = {c: i for i, c in enumerate(dataset.class_domain)}
-    actuals = [index[inst.label] for inst in dataset.instances]
-    pairs = [(a, index[p.predicted_class]) for a, p in zip(actuals, predictions)]
+    pairs = [(a, dataset.class_index(p.predicted_class))
+             for a, p in zip(dataset.classes, predictions)]
     confusion = ConfusionMatrix.from_pairs(dataset.class_domain, pairs)
-    mae, rmse = probabilistic_errors(predictions, actuals)
+    mae, rmse = probabilistic_errors(predictions, dataset.classes)
     return EvaluationReport(accuracy(confusion), kappa(confusion), mae, rmse,
                             size, confusion)
 
@@ -138,7 +137,7 @@ def evaluate_holdout(model: DecisionTree, test: Dataset) -> EvaluationReport:
         raise ValueError("model and test attribute lists differ")
     if not test.instances:
         raise ValueError("test dataset is empty")
-    predictions = [predict(model, inst.features) for inst in test.instances]
+    predictions = [predict(model, features) for features in test.features]
     return _score(predictions, test, tree_size(model))
 
 
@@ -147,19 +146,19 @@ def cross_validate(dataset: Dataset, params: TrainParams, k: int,
     """Stratified k-fold cross-validation.
 
     Each instance is predicted once by a model trained on the other folds'
-    row indices into one column set; the confusion matrix and errors pool
+    row indices into the dataset; the confusion matrix and errors pool
     across folds, while the tree size is a final model's, trained on all data.
     """
     folds = stratified_folds(dataset, k, seed)
-    columns, node = _columns(dataset)
-    predictions: List[Optional[Prediction]] = [None] * len(dataset.instances)
+    node = _root(dataset)
+    predictions: List[Optional[Prediction]] = [None] * len(dataset)
     for fold_no, fold in enumerate(folds):
         held = set(fold)
         fold_params = replace(params, seed=seed * 1_000_003 + fold_no)
-        model = _train(dataset, columns, [row for row in node if row[0] not in held],
+        model = _train(dataset, [row for row in node if row[0] not in held],
                        fold_params)
         for i in fold:
-            predictions[i] = predict(model, dataset.instances[i].features)
+            predictions[i] = predict(model, dataset.features[i])
     return _score(predictions, dataset, tree_size(train(dataset, params)))
 
 

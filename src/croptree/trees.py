@@ -20,13 +20,14 @@ from ``Leaf.errors``.  Every whole-tree traversal (growing, pruning,
 sizing, equality, hashing, saving, loading, routing rows) runs on
 ``walk``, one explicit-stack walker, so trees of any depth work.
 
-Training reads a dataset once into a column set: feature tuples, class
-indices and, above ``_SMALL_NODE`` rows, an n×A matrix (NaN if missing).
-Every node, pruning holdout and cross-validation fold is a list of (row
-index, class index, weight) triples into it, counted and partitioned in Python.
-A node of more than ``_SMALL_NODE`` rows has all its split candidates
-scored at once in numpy; smaller ones are scored in Python, where numpy's
-cost per call outweighs the work.  Both kernels choose the same splits.  The
+Training reads the columns a ``Dataset`` derives once: feature tuples,
+class indices and an n×A matrix (NaN if missing), which only a node of
+more than ``_SMALL_NODE`` rows builds.  Every node, pruning holdout and
+cross-validation fold is a list of (row index, class index, weight)
+triples into the dataset, counted and partitioned in Python.  A node of
+more than ``_SMALL_NODE`` rows has all its split candidates scored at
+once in numpy; smaller ones are scored in Python, where numpy's cost per
+call outweighs the work.  Both kernels choose the same splits.  The
 last bits of a sum of weights depend on the order of its additions, so
 every such sum is sequential, left to right in node order (``np.cumsum``
 and ``np.bincount`` in the kernel, never pairwise like ``np.sum``), and
@@ -260,7 +261,7 @@ def _midpoint(lo: float, hi: float) -> float:
 def _dataset_candidates(dataset: Dataset, attribute_index: int):
     """Every threshold of one attribute over the whole dataset, unfiltered."""
     _best, cands = _attribute_candidates(
-        *_columns(dataset), attribute_index, len(dataset.class_domain), 0)
+        dataset, _root(dataset), attribute_index, len(dataset.class_domain), 0)
     return cands
 
 
@@ -280,9 +281,8 @@ def _split_at(dataset: Dataset, attribute_index: int, threshold: float):
     """(gain, ratio) of the candidate that partitions like ``threshold``."""
     scored = {t: (gain, ratio)
               for t, gain, ratio in _dataset_candidates(dataset, attribute_index)}
-    values = sorted({inst.features[attribute_index]
-                     for inst in dataset.instances
-                     if inst.features[attribute_index] is not None})
+    values = sorted({row[attribute_index] for row in dataset.features
+                     if row[attribute_index] is not None})
     i = bisect.bisect_right(values, threshold)
     midpoint = _midpoint(values[i - 1], values[i]) if 0 < i < len(values) else None
     if midpoint not in scored:
@@ -307,11 +307,12 @@ def gain_ratio(dataset: Dataset, attribute_index: int, threshold: float) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Training internals.  Each function takes the column set ``_columns``
-# builds and a node: (row index, class index, weight) triples into it, in
-# node order.  Weights become fractional below splits on an attribute some
-# instance is missing.  Only nodes of more than _SMALL_NODE rows are scored
-# in numpy, and sums of weights stay sequential (see the module docstring).
+# Training internals.  Each function takes a dataset, whose columns it
+# reads, and a node: (row index, class index, weight) triples into the
+# dataset in node order, ``_root`` giving all its rows.  Weights become
+# fractional below splits on an attribute some instance is missing.  Only
+# nodes of more than _SMALL_NODE rows are scored in numpy, and sums of
+# weights stay sequential (see the module docstring).
 
 #: Nodes of at most this many rows are scored in pure Python, where
 #: numpy's fixed cost per call would outweigh the work.
@@ -319,13 +320,6 @@ _SMALL_NODE = 16
 
 #: Rows × attributes, and split candidates, scored together at a node.
 _BLOCK_CELLS = 2048
-
-
-class _Columns(NamedTuple):
-    """The rows' feature tuples and, over _SMALL_NODE rows, their matrix."""
-
-    features: list
-    values: Optional[np.ndarray]  # n×A, NaN for a missing value
 
 
 class _Scores(NamedTuple):
@@ -339,17 +333,10 @@ class _Scores(NamedTuple):
     ratio: np.ndarray
 
 
-def _columns(dataset: Dataset):
-    """The dataset's column set and the root node over all its instances."""
-    index = {c: i for i, c in enumerate(dataset.class_domain)}
-    features = [inst.features for inst in dataset.instances]
-    node = [(i, index[inst.label], inst.weight)
-            for i, inst in enumerate(dataset.instances)]
-    if len(node) <= _SMALL_NODE:
-        return _Columns(features, None), node
-    values = np.array(features, dtype=float).reshape(
-        len(node), len(dataset.attribute_names))
-    return _Columns(features, values), node
+def _root(dataset: Dataset):
+    """The node of every row of ``dataset``, in order."""
+    return list(zip(range(len(dataset)), dataset.classes,
+                    [inst.weight for inst in dataset.instances]))
 
 
 def _class_counts(node, n_classes: int) -> List[float]:
@@ -369,7 +356,7 @@ def _is_pure(counts) -> bool:
     return True
 
 
-def _attribute_candidates(columns: _Columns, node, attr: int, n_classes: int,
+def _attribute_candidates(dataset: Dataset, node, attr: int, n_classes: int,
                           min_leaf: float):
     """All admissible thresholds for one attribute at one node.
 
@@ -379,8 +366,8 @@ def _attribute_candidates(columns: _Columns, node, attr: int, n_classes: int,
     weight rounds to 0.
     """
     if len(node) <= _SMALL_NODE:
-        return _small_candidates(columns.features, node, attr, n_classes, min_leaf)
-    scores = _block_scores(columns, node, [attr], n_classes, min_leaf)
+        return _small_candidates(dataset.features, node, attr, n_classes, min_leaf)
+    scores = _block_scores(dataset, node, [attr], n_classes, min_leaf)
     return float(scores.best[0]), list(zip(scores.threshold.tolist(),
                                            scores.gain.tolist(),
                                            scores.ratio.tolist()))
@@ -474,7 +461,7 @@ def _entropies(counts, totals):
     return 0.0 - _column_sums(terms)
 
 
-def _block_scores(columns: _Columns, node, attrs, n_classes: int,
+def _block_scores(dataset: Dataset, node, attrs, n_classes: int,
                   min_leaf: float) -> _Scores:
     """Every admissible candidate of the columns ``attrs`` at one node.
 
@@ -490,7 +477,7 @@ def _block_scores(columns: _Columns, node, attrs, n_classes: int,
     code = np.searchsorted(active, classes)
     step = max(1, _BLOCK_CELLS // len(rows))
     firsts = range(0, max(len(attrs), 1), step)
-    parts = [_group_scores(columns.values[rows, attrs[first:first + step, None]],
+    parts = [_group_scores(dataset.values[rows, attrs[first:first + step, None]],
                            weights, code, len(active), min_leaf)
              for first in firsts]
     for first, part in zip(firsts, parts):
@@ -567,7 +554,7 @@ def _group_scores(values, weights, code, k: int, min_leaf: float):
     return _Scores(best, col, row, threshold, gain, ratio)
 
 
-def _evaluate(columns: _Columns, node, attrs, n_classes: int, min_leaf: float):
+def _evaluate(dataset: Dataset, node, attrs, n_classes: int, min_leaf: float):
     """Each attribute's (best_gain, candidates) at ``node``, in ``attrs`` order.
 
     A small node yields them lazily.  A larger node lists only the
@@ -575,9 +562,9 @@ def _evaluate(columns: _Columns, node, attrs, n_classes: int, min_leaf: float):
     same attribute in gain or in gain ratio (so its first one is kept).
     """
     if len(node) <= _SMALL_NODE:
-        return (_small_candidates(columns.features, node, a, n_classes, min_leaf)
+        return (_small_candidates(dataset.features, node, a, n_classes, min_leaf)
                 for a in attrs)
-    scores = _block_scores(columns, node, attrs, n_classes, min_leaf)
+    scores = _block_scores(dataset, node, attrs, n_classes, min_leaf)
     col, row = scores.col, scores.row
     keep = np.zeros(len(col), dtype=bool)
     for key in (scores.gain, scores.ratio):
@@ -620,25 +607,25 @@ def _partition(features, node, attr: int, threshold: float):
 
 
 def _score_all(n_attrs: int, n_classes: int, min_leaf: int):
-    def score(columns, node, _path):
-        return list(_evaluate(columns, node, range(n_attrs), n_classes, min_leaf))
+    def score(dataset, node, _path):
+        return list(_evaluate(dataset, node, range(n_attrs), n_classes, min_leaf))
     return score
 
 
 def _score_random_subset(n_attrs: int, n_classes: int, k: int, seed: int):
-    def score(columns, node, path):
+    def score(dataset, node, path):
         # The node-local stream depends only on (seed, position in the tree),
         # so sibling subtrees are independent of evaluation order.
         order = list(range(n_attrs))
         random.Random(f"{seed}:{path}").shuffle(order)
         evals = [(0.0, [])] * n_attrs
-        head = list(_evaluate(columns, node, order[:k], n_classes, 1))
+        head = list(_evaluate(dataset, node, order[:k], n_classes, 1))
         for a, ev in zip(order[:k], head):
             evals[a] = ev
         if not any(g > EPS for g, _cands in head):
             # Go on past the subset, in the node's order, up to the first
             # attribute with a positive gain.
-            for a, ev in zip(order[k:], _evaluate(columns, node, order[k:],
+            for a, ev in zip(order[k:], _evaluate(dataset, node, order[k:],
                                                   n_classes, 1)):
                 evals[a] = ev
                 if ev[0] > EPS:
@@ -676,10 +663,10 @@ def _choose_by_gain(evals) -> Optional[Tuple[int, float]]:
     return choice
 
 
-def _grow(columns: _Columns, root, n_classes: int, score, choose) -> Node:
+def _grow(dataset: Dataset, root, n_classes: int, score, choose) -> Node:
     """Grow a tree depth-first on ``walk`` from the node ``root``.
 
-    ``score(columns, node, path)`` gives each attribute's (best_gain,
+    ``score(dataset, node, path)`` gives each attribute's (best_gain,
     candidates), (0.0, []) if unexamined; ``path`` is the node's L/R steps
     from the root.  ``choose(evals)`` picks the (attribute, threshold) or None.
     """
@@ -688,7 +675,7 @@ def _grow(columns: _Columns, root, n_classes: int, score, choose) -> Node:
         counts = _class_counts(node, n_classes)
         choice = None
         if not _is_pure(counts):
-            evals = score(columns, node, path)
+            evals = score(dataset, node, path)
             choice = choose(evals)
             if choice is None:
                 # No informative split; still separate the node so
@@ -698,7 +685,7 @@ def _grow(columns: _Columns, root, n_classes: int, score, choose) -> Node:
                               None)
         if choice is None:
             return Leaf(tuple(counts)), None
-        left, right = _partition(columns.features, node, *choice)
+        left, right = _partition(dataset.features, node, *choice)
         return choice, ((left, path + "L"), (right, path + "R"))
 
     return walk((root, ""), expand,
@@ -1026,7 +1013,7 @@ def _goes_left(node: Internal, value: Optional[float]) -> bool:
     return value <= node.threshold
 
 
-def _reduced_error_prune(columns: _Columns, hold, root: Node):
+def _reduced_error_prune(dataset: Dataset, hold, root: Node):
     """Prune ``root`` against the holdout node ``hold``; (node, its errors)."""
     def errors(leaf: Leaf, hold) -> float:
         return sum(w for _i, cls, w in hold if cls != leaf.predicted_index)
@@ -1034,21 +1021,20 @@ def _reduced_error_prune(columns: _Columns, hold, root: Node):
     def route(node: Internal, hold):
         left, right = [], []
         for row in hold:
-            value = columns.features[row[0]][node.attribute]
+            value = dataset.features[row[0]][node.attribute]
             (left if _goes_left(node, value) else right).append(row)
         return left, right
     return _prune(root, errors, route, hold)
 
 
-def _train(dataset: Dataset, columns: _Columns, node,
-           params: TrainParams) -> DecisionTree:
-    """``train`` on the rows ``node`` of ``columns``; ``node`` is left as it is."""
+def _train(dataset: Dataset, node, params: TrainParams) -> DecisionTree:
+    """``train`` on the rows ``node`` of ``dataset``; ``node`` is left as it is."""
     if not node:
         raise ValueError("training dataset is empty")
     n_attrs = len(dataset.attribute_names)
     n_classes = len(dataset.class_domain)
     if params.algorithm == "gainratio":
-        root = _grow(columns, node, n_classes,
+        root = _grow(dataset, node, n_classes,
                      _score_all(n_attrs, n_classes, params.min_leaf),
                      _choose_by_gain_ratio)
         if params.prune:
@@ -1061,24 +1047,24 @@ def _train(dataset: Dataset, columns: _Columns, node,
         if k > n_attrs:
             raise ValueError(
                 f"k={k} exceeds the {n_attrs} available attributes")
-        root = _grow(columns, node, n_classes,
+        root = _grow(dataset, node, n_classes,
                      _score_random_subset(n_attrs, n_classes, k, params.seed),
                      _choose_by_gain)
     else:
         node = list(node)
         random.Random(params.seed).shuffle(node)
         cut = len(node) - len(node) // params.prune_folds
-        root = _grow(columns, node[:cut], n_classes,
+        root = _grow(dataset, node[:cut], n_classes,
                      _score_all(n_attrs, n_classes, params.min_leaf),
                      _choose_by_gain)
-        root, _errors = _reduced_error_prune(columns, node[cut:], root)
+        root, _errors = _reduced_error_prune(dataset, node[cut:], root)
     return DecisionTree(root, tuple(dataset.attribute_names),
                         tuple(dataset.class_domain), params)
 
 
 def train(dataset: Dataset, params: TrainParams) -> DecisionTree:
     """Train a tree; deterministic for a fixed (dataset, params) pair."""
-    return _train(dataset, *_columns(dataset), params)
+    return _train(dataset, _root(dataset), params)
 
 
 def predict(tree: DecisionTree, features: Sequence[Optional[float]]) -> Prediction:

@@ -24,8 +24,8 @@ from croptree import (CLASS_DOMAIN, ConfusionMatrix, Dataset, LabeledInstance,
                       split_candidates, stratified_folds, train, tree_size,
                       write_rainfall_file)
 from croptree.cli import main
-from croptree.trees import (Internal, _choose_by_gain, _columns, _grow,
-                            _reduced_error_prune, _score_all)
+from croptree.trees import (Internal, _choose_by_gain, _grow,
+                            _reduced_error_prune, _root, _score_all)
 from support import make_stations, random_dataset, random_feature_vector
 
 
@@ -239,7 +239,7 @@ def test_criterion_6f_reduced_error_pruning_safety():
             for i, cls, w in batch:
                 cursor = node
                 while isinstance(cursor, Internal):
-                    v = columns.features[i][cursor.attribute]
+                    v = ds.features[i][cursor.attribute]
                     if v is None:
                         cursor = (cursor.left
                                   if cursor.left.weight >= cursor.right.weight
@@ -254,14 +254,14 @@ def test_criterion_6f_reduced_error_pruning_safety():
 
         for _ in range(CASES):
             ds = random_dataset(rng, max_instances=24, n_attrs=3)
-            columns, rows = _columns(ds)
+            rows = _root(ds)
             rng.shuffle(rows)
             cut = max(1, (2 * len(rows)) // 3)
             n_classes = len(ds.class_domain)
-            grown = _grow(columns, rows[:cut], n_classes,
+            grown = _grow(ds, rows[:cut], n_classes,
                           _score_all(3, n_classes, 1), _choose_by_gain)
             hold = rows[cut:]
-            pruned, pruned_err = _reduced_error_prune(columns, hold, grown)
+            pruned, pruned_err = _reduced_error_prune(ds, hold, grown)
             assert pruned_err <= holdout_errors(grown, hold) + 1e-9
             assert pruned_err == pytest.approx(holdout_errors(pruned, hold))
             assert tree_size(pruned) <= tree_size(grown)

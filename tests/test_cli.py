@@ -4,15 +4,17 @@ import functools
 import io
 import math
 import pathlib
+import random
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from croptree import (ALGORITHMS, CroppingPattern, Dataset, LabeledInstance,
-                      StationYear, TrainParams, cli, label_dataset,
-                      pattern_for_label, save_model, train, write_rainfall_file)
+from croptree import (ALGORITHMS, CLASS_DOMAIN, CroppingPattern, Dataset,
+                      LabeledInstance, StationYear, TrainParams, cli,
+                      label_dataset, label_records, pattern_for_label,
+                      save_model, train, write_rainfall_file)
 from croptree.cli import main
 from croptree.dataset import LABELED_HEADER, RAINFALL_HEADER
 from croptree.evaluation import INDICATOR_ROWS
@@ -126,6 +128,32 @@ class TestTrain:
         assert first.read_bytes() == second.read_bytes()
         out = capsys.readouterr().out
         assert "tree size:" in out and "training accuracy:" in out
+
+    def test_training_accuracy_is_the_resubstitution_accuracy(
+            self, tmp_path, stations75, capsys):
+        """``train`` scores its model with predict_rows on the dataset's
+        matrix, ``compare --resubstitution`` with predict row by row.  One
+        month in six is missing and one label in four is noise, so no
+        learner fits every row and missing values are routed."""
+        rng = random.Random(75)
+        lines = [LABELED_HEADER]
+        for rec, climate in label_records(stations75):
+            line = write_rainfall_file([rec]).splitlines()[1].split(",")
+            line[3:] = ["" if rng.random() < 1 / 6 else cell for cell in line[3:]]
+            label = rng.choice(CLASS_DOMAIN) if rng.random() < 0.25 else climate.label
+            lines.append(",".join(line + [label]))
+        noisy = tmp_path / "noisy.csv"
+        noisy.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["compare", str(noisy), "--resubstitution"]) == 0
+        header, accuracy_row = capsys.readouterr().out.splitlines()[:2]
+        assert accuracy_row.startswith(INDICATOR_ROWS[0] + ",")
+        expected = dict(zip(header.split(",")[1:], accuracy_row.split(",")[1:]))
+        assert set(expected) == set(ALGORITHMS)
+        for algorithm in ALGORITHMS:
+            assert main(["train", str(noisy), "-o", str(tmp_path / "m.txt"),
+                         "--algorithm", algorithm]) == 0
+            printed = capsys.readouterr().out.splitlines()
+            assert printed[1] == f"training accuracy: {expected[algorithm]}%"
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_no_learner_flags_trains_with_default_params(

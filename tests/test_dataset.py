@@ -4,6 +4,7 @@ import re
 from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -330,6 +331,58 @@ def test_dataset_rejects_weights_whose_entropy_sums_overflow():
             for i in range(40))
         with pytest.raises(ValueError, match="infinity"):
             Dataset(("a0",), classes, instances)
+
+
+def test_dataset_rejects_a_repeated_class_name():
+    # With "X" twice, stratified_folds put the X rows in two strata, and
+    # its folds overlapped.
+    instances = tuple(LabeledInstance((float(i),), "XY"[i % 2]) for i in range(6))
+    with pytest.raises(ValueError, match="repeats a class name"):
+        Dataset(("a",), ("X", "X", "Y"), instances)
+
+
+GAPPY_TEXT = write_rainfall_file([
+    StationYear("A", "R", 2013, (300.0,) * 12),
+    StationYear("B", "R", 2013, (250.0,) * 7 + (None,) + (40.0,) * 4),
+    StationYear("C", "S", 2013, (30.0, 120.0) * 6),
+    StationYear("D", "S", 2014, (None,) * 12),
+    StationYear("E", "R", 2014, (0.0, 250.5, 99.9, 201.0) * 3)])
+
+
+@pytest.mark.parametrize("labeled", (False, True))
+@pytest.mark.parametrize("policy", (MissingPolicy.ZERO_FILL,
+                                    MissingPolicy.SKIP_STATION))
+def test_dataset_columns_match_the_table(labeled, policy):
+    text = GAPPY_TEXT
+    if labeled:
+        text = (LABELED_HEADER + "\n" + "\n".join(
+            f"{line},{CLASS_DOMAIN[i]}"
+            for i, line in enumerate(text.splitlines()[1:])) + "\n")
+    table = parse_table(text)
+    dataset = dataset_from_table(table, policy)
+    if labeled:
+        rows, labels = list(range(len(table))), table.labels
+    else:
+        rows, types = label_table(table, policy)
+        labels = [climate.label for climate in types]
+    # Skipping drops B and D, each missing a month, from the raw file.
+    assert len(rows) == (3 if policy is MissingPolicy.SKIP_STATION and not labeled
+                         else 5)
+    assert np.array_equal(dataset.values, table.rainfall[rows], equal_nan=True)
+    assert dataset.values.dtype == np.float64
+    assert not dataset.values.flags.writeable
+    assert dataset.classes == tuple(CLASS_DOMAIN.index(label) for label in labels)
+    assert dataset.features == tuple(inst.features for inst in dataset.instances)
+
+
+def test_cached_columns_leave_equality_and_hash_alone():
+    table = parse_table(GAPPY_TEXT)
+    cached, fresh = dataset_from_table(table), dataset_from_table(table)
+    assert cached.values.shape == (5, 12) and cached.classes
+    assert {"features", "values", "classes"} <= set(vars(cached))
+    assert not {"features", "values", "classes"} & set(vars(fresh))
+    assert cached == fresh
+    assert hash(cached) == hash(fresh)
 
 
 def test_dataset_from_pairs_round_trips_labels():

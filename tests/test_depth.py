@@ -15,7 +15,7 @@ from croptree import (CLASS_DOMAIN, MONTH_NAMES, Dataset, LabeledInstance,
                       StationYear, TrainParams, load_model, predict, predict_rows,
                       save_model, train, tree_size, write_rainfall_file)
 from croptree.cli import main
-from croptree.trees import (Internal, Leaf, _choose_by_gain, _columns, _grow,
+from croptree.trees import (Internal, Leaf, _choose_by_gain, _grow, _root,
                             _score_all, walk)
 
 N_ROWS = 1500
@@ -67,8 +67,8 @@ def test_randomsubset_trains_deep_tree(trained):
 @pytest.fixture(scope="module")
 def max_gain_root():
     """The reducederror learner's grower, before pruning."""
-    return _grow(*_columns(_alternating_dataset()), 2, _score_all(1, 2, 1),
-                 _choose_by_gain)
+    data = _alternating_dataset()
+    return _grow(data, _root(data), 2, _score_all(1, 2, 1), _choose_by_gain)
 
 
 def test_max_gain_grower_grows_deep_tree(max_gain_root):

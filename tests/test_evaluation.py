@@ -9,7 +9,7 @@ from croptree import (ALGORITHMS, CLASS_DOMAIN, ConfusionMatrix, Dataset,
                       kappa, probabilistic_errors, save_model,
                       stratified_folds, train)
 from croptree.evaluation import INDICATOR_ROWS
-from croptree.trees import DecisionTree, Leaf, _columns, _train
+from croptree.trees import DecisionTree, Leaf, _root, _train
 from support import random_dataset
 
 
@@ -180,14 +180,14 @@ def _weighted_dataset(rng, n):
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_fold_rows_train_as_a_copied_dataset(algorithm):
-    """A fold trained on row indices into the whole dataset's column set
-    saves the bytes of the same fold trained as a Dataset of its own.  At
-    most 16 rows, ``_columns`` builds no matrix and only the Python kernel
-    runs; above, the numpy kernel scores the larger nodes."""
+    """A fold trained on row indices into the whole dataset saves the
+    bytes of the same fold trained as a Dataset of its own.  At most 16
+    rows, the dataset builds no matrix and only the Python kernel runs;
+    above, the numpy kernel scores the larger nodes."""
     rng = random.Random(f"fold rows {algorithm}")
     for n in (3, 8, 16, 17, 31, 60):
         dataset = _weighted_dataset(rng, n)
-        columns, node = _columns(dataset)
+        node = _root(dataset)
         for k in sorted({2, 3, 10, n} & set(range(2, n + 1))):
             for fold_no, fold in enumerate(stratified_folds(dataset, k, seed=n)):
                 held = set(fold)
@@ -196,9 +196,23 @@ def test_fold_rows_train_as_a_copied_dataset(algorithm):
                 kept = list(rows)
                 copied = replace(dataset, instances=tuple(
                     inst for i, inst in enumerate(dataset.instances) if i not in held))
-                assert (save_model(_train(dataset, columns, rows, params))
+                assert (save_model(_train(dataset, rows, params))
                         == save_model(train(copied, params))), (n, k, fold_no)
                 assert rows == kept
+
+
+def test_small_datasets_build_no_matrix():
+    """Up to 16 rows every node is scored in Python, so neither training
+    nor cross-validation builds the matrix, whose numpy cost would slow
+    the many small datasets of the oracle checks."""
+    small = _weighted_dataset(random.Random("16 rows"), 16)
+    for algorithm in ALGORITHMS:
+        train(small, TrainParams(algorithm))
+        cross_validate(small, TrainParams(algorithm), 4, seed=1)
+    assert "values" not in small.__dict__
+    larger = _weighted_dataset(random.Random("17 rows"), 17)
+    train(larger, TrainParams("gainratio"))
+    assert "values" in larger.__dict__
 
 
 def test_cross_validate_builds_no_dataset(dataset75, monkeypatch):

@@ -17,7 +17,7 @@ from croptree import (Dataset, LabeledInstance, TrainParams, save_model,
                       train)
 from croptree import trees
 from croptree.trees import (Leaf, _attribute_candidates, _choose_by_gain,
-                            _choose_by_gain_ratio, _columns, _evaluate)
+                            _choose_by_gain_ratio, _evaluate, _root)
 
 TOL = 1e-12
 
@@ -67,10 +67,11 @@ def test_kernel_matches_reference(n):
         n_classes = rng.randint(1, 14)
         rows = _random_rows(rng, n, 2, n_classes)
         min_leaf = rng.choice((0, 1, 2, 5))
-        columns, node = _columns(_rows_dataset(rows, 2, n_classes))
+        dataset = _rows_dataset(rows, 2, n_classes)
         for attr in range(2):
             _assert_same(
-                _attribute_candidates(columns, node, attr, n_classes, min_leaf),
+                _attribute_candidates(dataset, _root(dataset), attr, n_classes,
+                                      min_leaf),
                 reference_kernel.attribute_candidates(
                     rows, attr, n_classes, min_leaf))
 
@@ -81,9 +82,9 @@ def test_kernel_matches_reference_past_one_slice():
     rows = [((float(i), None if i % 7 == 0 else float(i % 50)),
              rng.randrange(5), rng.choice((1.0, 0.5)))
             for i in range(3 * trees._BLOCK_CELLS)]
-    columns, node = _columns(_rows_dataset(rows, 2, 5))
+    dataset = _rows_dataset(rows, 2, 5)
     for attr in range(2):
-        _assert_same(_attribute_candidates(columns, node, attr, 5, 2),
+        _assert_same(_attribute_candidates(dataset, _root(dataset), attr, 5, 2),
                      reference_kernel.attribute_candidates(rows, attr, 5, 2))
 
 
@@ -95,8 +96,8 @@ def test_kernel_threshold_separates_neighbours(n, lo, hi):
     back to lo, which still sends lo left and hi right."""
     rows = [((lo if i % 2 else hi, None if i % 5 == 0 else float(i)), i % 2, 1.0)
             for i in range(n)]
-    columns, node = _columns(_rows_dataset(rows, 2, 2))
-    got = _attribute_candidates(columns, node, 0, 2, 1)
+    dataset = _rows_dataset(rows, 2, 2)
+    got = _attribute_candidates(dataset, _root(dataset), 0, 2, 1)
     _assert_same(got, reference_kernel.attribute_candidates(rows, 0, 2, 1))
     assert [t for t, _g, _r in got[1]] == [lo]
 
@@ -113,8 +114,9 @@ def test_block_keeps_every_choice(monkeypatch, n):
         n_classes = rng.randint(2, 14)
         rows = _random_rows(rng, n, n_attrs, n_classes)
         min_leaf = rng.choice((1, 2, 5))
-        evals = list(_evaluate(*_columns(_rows_dataset(rows, n_attrs, n_classes)),
-                               range(n_attrs), n_classes, min_leaf))
+        dataset = _rows_dataset(rows, n_attrs, n_classes)
+        evals = list(_evaluate(dataset, _root(dataset), range(n_attrs),
+                               n_classes, min_leaf))
         ref = [reference_kernel.attribute_candidates(rows, a, n_classes,
                                                      min_leaf)
                for a in range(n_attrs)]

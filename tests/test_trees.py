@@ -18,8 +18,8 @@ from croptree import (CLASS_DOMAIN, Dataset, DecisionTree, LabeledInstance,
                       info_gain, load_model, predict, predict_rows, save_model,
                       split_candidates, train, tree_size)
 from croptree.trees import (Internal, Leaf, _attribute_candidates,
-                            _beta_upper_quantile, _choose_by_gain, _columns,
-                            _grow, _ibeta, _reduced_error_prune, _score_all,
+                            _beta_upper_quantile, _choose_by_gain, _grow,
+                            _ibeta, _reduced_error_prune, _root, _score_all,
                             _upper_error_estimate, walk)
 from support import random_consistent_dataset, random_dataset, run_bounded
 
@@ -171,10 +171,10 @@ class TestGain:
         for _ in range(150):
             ds = random_dataset(rng, max_instances=20, n_attrs=3,
                                 value_pool=(0.0, 50.0, 100.0, 300.0))
-            columns, node = _columns(ds)
+            node = _root(ds)
             for attr in range(3):
                 _best, cands = _attribute_candidates(
-                    columns, node, attr, len(ds.class_domain), 1)
+                    ds, node, attr, len(ds.class_domain), 1)
                 assert [t for t, _g, _r in cands] == split_candidates(ds, attr)
                 for threshold, gain, ratio in cands:
                     assert gain == pytest.approx(
@@ -609,21 +609,21 @@ class TestPruning:
         rng = random.Random(29)
         for _ in range(60):
             ds = random_dataset(rng, max_instances=30, n_attrs=3)
-            columns, rows = _columns(ds)
+            rows = _root(ds)
             rng.shuffle(rows)
             cut = max(1, (2 * len(rows)) // 3)
             n_classes = len(ds.class_domain)
-            grown = _grow(columns, rows[:cut], n_classes,
+            grown = _grow(ds, rows[:cut], n_classes,
                           _score_all(3, n_classes, 1), _choose_by_gain)
             hold = rows[cut:]
-            pruned, pruned_err = _reduced_error_prune(columns, hold, grown)
+            pruned, pruned_err = _reduced_error_prune(ds, hold, grown)
 
             def holdout_errors(node, batch):
                 total = 0.0
                 for i, cls, w in batch:
                     cursor = node
                     while isinstance(cursor, Internal):
-                        v = columns.features[i][cursor.attribute]
+                        v = ds.features[i][cursor.attribute]
                         if v is None:
                             cursor = (cursor.left
                                       if cursor.left.weight >= cursor.right.weight
