@@ -1,6 +1,15 @@
 """Classifier evaluation: confusion matrices, the five comparison
 indicators, stratified cross-validation, and holdout testing.
 
+Cross-validation trains its folds in forked worker processes, one per
+usable CPU, which share the dataset with the parent copy-on-write and
+send back only each fold's predictions; ``compare`` runs every learner's
+folds in one pool.  It stays serial, in the calling process, on one
+usable CPU, where the platform cannot fork, inside a daemonic process
+(which may not start any), and for a dataset of at most
+``trees._SMALL_NODE`` rows, where starting a pool costs more than the
+work.  Either way the reports are the same, bit for bit.
+
 The probabilistic errors average over every (instance, class) cell, so a
 dataset of N instances over C classes contributes N*C absolute or squared
 deviations between the predicted distribution and the one-hot truth.
@@ -9,12 +18,13 @@ deviations between the predicted distribution and the one-hot truth.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .dataset import Dataset, stratified_folds
-from .trees import (DecisionTree, Prediction, TrainParams, _root, _train,
-                    predict, train, tree_size)
+from .trees import (_SMALL_NODE, DecisionTree, Prediction, TrainParams, _root,
+                    _train, predict, train, tree_size)
 
 INDICATOR_ROWS = (
     "Classification Accuracy (%)",
@@ -148,18 +158,91 @@ def cross_validate(dataset: Dataset, params: TrainParams, k: int,
     Each instance is predicted once by a model trained on the other folds'
     row indices into the dataset; the confusion matrix and errors pool
     across folds, while the tree size is a final model's, trained on all data.
+    Folds train in forked worker processes, one per usable CPU, and serially
+    on one CPU, where the platform cannot fork, inside a daemonic process,
+    or for a dataset of at most 16 rows; the report does not depend on which.
+    """
+    return _cross_validate(dataset, [params], k, seed)[0]
+
+
+#: A pool worker's cross-validation: (dataset, root node, folds, learners,
+#: seed).  Set in each worker by the pool's initializer, and read by
+#: ``_fold_task``, so no task pickles the dataset or a tree.
+_fold_state = None
+
+
+def _set_fold_state(state) -> None:
+    global _fold_state
+    _fold_state = state
+
+
+def _fold_task(task) -> List[Prediction]:
+    return _fold_predictions(_fold_state, *task)
+
+
+def _fold_predictions(state, learner_no: int, fold_no: int) -> List[Prediction]:
+    """Train learner ``learner_no`` without fold ``fold_no``; predict that fold."""
+    dataset, node, folds, learners, seed = state
+    held = set(folds[fold_no])
+    params = replace(learners[learner_no], seed=seed * 1_000_003 + fold_no)
+    model = _train(dataset, [row for row in node if row[0] not in held], params)
+    return [predict(model, dataset.features[i]) for i in folds[fold_no]]
+
+
+def _fold_pool(dataset: Dataset, tasks: int, state):
+    """An executor of forked workers for ``tasks`` fold trainings, each
+    worker holding ``state``; None where they should run serially."""
+    if (len(dataset) <= _SMALL_NODE or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")):
+        return None
+    # Imported here: at module level they would lengthen every command's start.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    workers = min(len(os.sched_getaffinity(0)), tasks)
+    # A daemonic process, such as another pool's worker, may not fork.
+    if workers < 2 or multiprocessing.current_process().daemon:
+        return None
+    return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               _set_fold_state, (state,))
+
+
+def _cross_validate(dataset: Dataset, learners: Sequence[TrainParams], k: int,
+                    seed: int) -> List[EvaluationReport]:
+    """``cross_validate`` of each learner on the same folds.
+
+    One pool of forked workers trains every (learner, fold) pair while
+    this process trains each learner's final model.  Results are read in
+    task order, so a failing fold raises what the serial run would raise
+    first, and the workers have ended when this returns or raises.  A
+    worker that dies raises ``BrokenProcessPool``.
     """
     folds = stratified_folds(dataset, k, seed)
-    node = _root(dataset)
-    predictions: List[Optional[Prediction]] = [None] * len(dataset)
-    for fold_no, fold in enumerate(folds):
-        held = set(fold)
-        fold_params = replace(params, seed=seed * 1_000_003 + fold_no)
-        model = _train(dataset, [row for row in node if row[0] not in held],
-                       fold_params)
-        for i in fold:
-            predictions[i] = predict(model, dataset.features[i])
-    return _score(predictions, dataset, tree_size(train(dataset, params)))
+    state = (dataset, _root(dataset), folds, learners, seed)
+    tasks = [(l, f) for l in range(len(learners)) for f in range(len(folds))]
+    pool = _fold_pool(dataset, len(tasks), state)
+    if pool is None:
+        return _reports(dataset, learners, folds,
+                        (_fold_predictions(state, *task) for task in tasks))
+    try:
+        return _reports(dataset, learners, folds, pool.map(_fold_task, tasks))
+    finally:
+        # Waits for the workers to exit; after an error, tasks not yet
+        # started are dropped.
+        pool.shutdown(cancel_futures=True)
+
+
+def _reports(dataset: Dataset, learners: Sequence[TrainParams], folds,
+             fold_predictions) -> List[EvaluationReport]:
+    """One report per learner from its folds' predictions, in task order."""
+    reports = []
+    for params in learners:
+        predictions: List[Optional[Prediction]] = [None] * len(dataset)
+        for fold in folds:
+            for i, prediction in zip(fold, next(fold_predictions)):
+                predictions[i] = prediction
+        reports.append(_score(predictions, dataset,
+                              tree_size(train(dataset, params))))
+    return reports
 
 
 @dataclass(frozen=True)
@@ -180,10 +263,9 @@ def compare(algorithms: Sequence[TrainParams], train_data: Dataset,
     is used (or plain resubstitution when requested).
     """
     scored = test if test is not None else (train_data if resubstitution else None)
-    reports = []
-    for params in algorithms:
-        if scored is None:
-            reports.append(cross_validate(train_data, params, k, seed))
-        else:
-            reports.append(evaluate_holdout(train(train_data, params), scored))
+    if scored is None:
+        reports = _cross_validate(train_data, algorithms, k, seed)
+    else:
+        reports = [evaluate_holdout(train(train_data, params), scored)
+                   for params in algorithms]
     return ComparisonTable(tuple(p.algorithm for p in algorithms), tuple(reports))

@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 
 import pytest
@@ -84,6 +85,17 @@ class TestClassifyOldeman:
             classify_oldeman(rain, policy)
         assert info.value.month_index == 7
         assert "aug" in str(info.value)
+
+    def test_missing_month_error_survives_pickle(self):
+        # a cross-validation worker process hands its errors back pickled
+        rain = [250.0] * 12
+        rain[7] = None
+        with pytest.raises(MissingMonthError) as info:
+            classify_oldeman(rain, MissingPolicy.ERROR)
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert type(copy) is MissingMonthError
+        assert str(copy) == str(info.value)
+        assert copy.month_index == 7
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,13 @@
+import multiprocessing
+import os
 import random
+import threading
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import pytest
 
+from croptree import evaluation
 from croptree import (ALGORITHMS, CLASS_DOMAIN, ConfusionMatrix, Dataset,
                       LabeledInstance, MONTH_NAMES, Prediction, TrainParams,
                       accuracy, compare, cross_validate, evaluate_holdout,
@@ -11,6 +16,7 @@ from croptree import (ALGORITHMS, CLASS_DOMAIN, ConfusionMatrix, Dataset,
 from croptree.evaluation import INDICATOR_ROWS
 from croptree.trees import DecisionTree, Leaf, _root, _train
 from support import random_dataset
+from test_golden_models import golden_dataset
 
 
 def _matrix(grid, domain=None):
@@ -216,6 +222,8 @@ def test_small_datasets_build_no_matrix():
 
 
 def test_cross_validate_builds_no_dataset(dataset75, monkeypatch):
+    # serial, so that every fold trains where the check can see it
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0})
     checks = []
     original = Dataset.__post_init__
 
@@ -316,3 +324,98 @@ class TestCompare:
         assert stage2.confusion.total == 51
         assert round(stage1.accuracy_pct, 2) == 17.33
         assert round(stage2.accuracy_pct, 2) == 25.49
+
+
+ALL_LEARNERS = [TrainParams(a) for a in ALGORITHMS]
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(n)))
+
+
+def _compare_in_daemon(dataset):
+    return compare(ALL_LEARNERS, dataset, k=5, seed=1)
+
+
+def _die(*_args):
+    os._exit(1)
+
+
+class TestFoldPool:
+    """Cross-validation forks one worker per CPU; its reports, errors and
+    clean-up must be those of the serial run."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The pools started: one entry per ``get_context`` call."""
+        started = []
+        original = multiprocessing.get_context
+
+        def counted(method=None):
+            started.append(method)
+            return original(method)
+        monkeypatch.setattr(multiprocessing, "get_context", counted)
+        return started
+
+    @pytest.mark.parametrize("data,k", [("dataset75", 5), ("golden", 10)])
+    def test_one_cpu_gives_the_forked_reports(self, data, k, request,
+                                              monkeypatch, pools):
+        dataset = (golden_dataset() if data == "golden"
+                   else request.getfixturevalue(data))
+        _cpus(monkeypatch, 2)
+        forked = compare(ALL_LEARNERS, dataset, k=k, seed=1)
+        assert pools == ["fork"]
+        _cpus(monkeypatch, 1)
+        assert compare(ALL_LEARNERS, dataset, k=k, seed=1) == forked
+        assert pools == ["fork"]
+        assert multiprocessing.active_children() == []
+
+    def test_failing_fold_raises_the_serial_error(self, dataset75,
+                                                  monkeypatch, pools):
+        learners = [TrainParams("gainratio"), TrainParams("randomsubset", k=13)]
+        errors = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            with pytest.raises(ValueError) as info:
+                compare(learners, dataset75, k=5, seed=1)
+            errors.append((type(info.value), str(info.value)))
+            assert multiprocessing.active_children() == []
+        assert pools == ["fork"]
+        assert errors[0] == errors[1]
+        assert "k=13 exceeds the 12 available attributes" in errors[0][1]
+
+    def test_dead_worker_raises_instead_of_waiting(self, dataset75,
+                                                   monkeypatch):
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(evaluation, "_fold_predictions", _die)
+        raised = []
+
+        def run():
+            try:
+                compare(ALL_LEARNERS, dataset75, k=5, seed=1)
+            except BaseException as exc:  # handed to the test thread
+                raised.append(exc)
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(60)
+        assert not runner.is_alive(), "compare still waits for a dead worker"
+        assert [type(exc) for exc in raised] == [BrokenProcessPool]
+        assert multiprocessing.active_children() == []
+
+    def test_small_dataset_starts_no_pool(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("a pool was started")
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        _cpus(monkeypatch, 2)
+        small = _weighted_dataset(random.Random("16 rows"), 16)
+        assert len(compare(ALL_LEARNERS, small, k=4, seed=1).reports) == 3
+
+    def test_runs_serially_inside_a_daemonic_worker(self, dataset75,
+                                                    monkeypatch):
+        _cpus(monkeypatch, 2)
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            inside = pool.apply(_compare_in_daemon, (dataset75,))
+            pool.close()
+            pool.join()
+        assert inside == _compare_in_daemon(dataset75)
+        assert multiprocessing.active_children() == []

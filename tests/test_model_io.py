@@ -1,4 +1,5 @@
 import pathlib
+import pickle
 import random
 
 import pytest
@@ -199,6 +200,15 @@ class TestLoadErrors:
         with pytest.raises(ModelFormatError) as info:
             load_model("croptree-model v1\nnot-a-header\n")
         assert info.value.line_number == 2
+
+    def test_error_survives_pickle(self):
+        # a cross-validation worker process hands its errors back pickled
+        with pytest.raises(ModelFormatError) as info:
+            load_model("croptree-model v1\nnot-a-header\n")
+        copy = pickle.loads(pickle.dumps(info.value))
+        assert type(copy) is ModelFormatError
+        assert str(copy) == str(info.value) and str(copy).startswith("line 2: ")
+        assert copy.line_number == 2
 
 
 GOLDEN_TEXTS = sorted(path.read_text(encoding="utf-8") for path in

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from croptree import trees
 from croptree import (CLASS_DOMAIN, Dataset, DecisionTree, LabeledInstance,
                       TrainParams, UndefinedSplitError, entropy, gain_ratio,
                       info_gain, load_model, predict, predict_rows, save_model,
@@ -588,6 +589,21 @@ class TestPruning:
             bad = rng.uniform(0, good)  # majority stays with `good`
             estimate = _upper_error_estimate(Leaf((good, bad)), 0.25)
             assert estimate >= bad - 1e-9
+
+    def test_bound_computed_once_per_weight_and_errors(self, dataset75,
+                                                       monkeypatch):
+        # pruning costs every node of the grown tree as a leaf, and many
+        # share a (weight, errors) pair; each pair's bound is solved once
+        pairs = []
+
+        def counted(leaf, cf):
+            pairs.append((leaf.weight, leaf.errors))
+            return _upper_error_estimate(leaf, cf)
+        grown = tree_size(train(dataset75, TrainParams("gainratio", prune=False)))
+        expected = save_model(train(dataset75, TrainParams("gainratio")))
+        monkeypatch.setattr(trees, "_upper_error_estimate", counted)
+        assert save_model(train(dataset75, TrainParams("gainratio"))) == expected
+        assert len(set(pairs)) == len(pairs) < grown
 
     def test_leaf_errors_is_weight_outside_the_predicted_class(self):
         assert Leaf((3.0, 1.5, 0.5)).errors == 2.0
