@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import pathlib
 import sys
 import tempfile
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -124,14 +125,18 @@ def _naming(path: str, verb: str = "read"):
         raise DataError(f"cannot {verb} {path}: {exc.strerror or exc}") from None
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks``, one after another as they come, into a temporary
+    file beside ``path``, which then replaces ``path``.  A failing write
+    leaves ``path`` as it was and removes the temporary file."""
     with _naming(path, "write"):
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory,
                                    prefix=os.path.basename(path) + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
+                for chunk in chunks:
+                    fh.write(chunk)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -141,11 +146,26 @@ def _atomic_write(path: str, data: bytes) -> None:
             raise
 
 
-def _emit(text: str, path: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], path: Optional[str]) -> None:
+    """Text chunks to stdout, or UTF-8 encoded to ``path`` (_atomic_write)."""
     if path is None:
-        sys.stdout.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
     else:
-        _atomic_write(path, text.encode("utf-8"))
+        _atomic_write(path, (chunk.encode("utf-8") for chunk in chunks))
+
+
+#: CSV lines rendered, joined and written together.
+_BLOCK_LINES = 4096
+
+
+def _csv_blocks(header: str, lines: Iterable[str]) -> Iterator[str]:
+    """The header line, then ``lines`` joined up to _BLOCK_LINES at a
+    time, each line ended by a line feed."""
+    yield header + "\n"
+    lines = iter(lines)
+    while block := list(itertools.islice(lines, _BLOCK_LINES)):
+        yield "\n".join(block) + "\n"
 
 
 def _read_table(path: str) -> RainfallTable:
@@ -209,11 +229,11 @@ def _cmd_oldeman(args) -> int:
     patterns = _pattern_texts(args)
     labels = [climate.label for climate in types]
     regions = [table.regions[i] for i in rows]
-    lines = ["station,region,year,climate_class,cropping_pattern"]
-    for i, label, region in zip(rows, labels, regions):
-        lines.append(f"{_csv_field(table.stations[i])},{_csv_field(region)},"
-                     f'{table.years[i]},{label},"{patterns[label]}"')
-    _atomic_write(args.output, ("\n".join(lines) + "\n").encode("utf-8"))
+    _emit(_csv_blocks("station,region,year,climate_class,cropping_pattern",
+                      (f"{_csv_field(table.stations[i])},{_csv_field(region)},"
+                       f'{table.years[i]},{label},"{patterns[label]}"'
+                       for i, label, region in zip(rows, labels, regions))),
+          args.output)
     sys.stdout.write(_render_count_table(count_table(labels, regions)))
     return 0
 
@@ -233,7 +253,7 @@ def _cmd_train(args) -> int:
     params = _train_params(args)
     dataset = _load_dataset(args.input, MissingPolicy(args.missing_policy))
     model = train(dataset, params)
-    _atomic_write(args.output, save_model(model))
+    _atomic_write(args.output, [save_model(model)])
     correct = np.count_nonzero(predict_rows(model, dataset.values) == dataset.classes)
     print(f"tree size: {tree_size(model)}")
     print(f"training accuracy: {100.0 * correct / len(dataset):.2f}%")
@@ -250,7 +270,7 @@ def _cmd_compare(args) -> int:
     dataset = _load_dataset(args.input, MissingPolicy(args.missing_policy))
     table = compare(learners, dataset, k=args.cv, seed=args.seed,
                     resubstitution=args.resubstitution)
-    _emit(_render_comparison(table), args.output)
+    _emit([_render_comparison(table)], args.output)
     return 0
 
 
@@ -264,21 +284,23 @@ def _cmd_recommend(args) -> int:
     with _naming(args.input):
         table = _read_table(args.input)
         complete = table.complete
-        rows = (np.flatnonzero(complete) if args.complete_only
-                else np.arange(len(table)))
-        if not rows.size:
+        if args.complete_only:
+            kept = np.flatnonzero(complete)
+            rainfall, rows = table.rainfall[kept], kept.tolist()
+        else:
+            rainfall, rows = table.rainfall, range(len(table))
+        if not rows:
             raise DataError("no stations to classify")
     predicted = [model.class_domain[c]
-                 for c in predict_rows(model, table.rainfall[rows]).tolist()]
+                 for c in predict_rows(model, rainfall).tolist()]
     patterns = _pattern_texts(args)
     status = ("incomplete", "complete")
     complete = complete.tolist()
-    rows = rows.tolist()
-    lines = ["station,region,climate_class,cropping_pattern,data_status"]
-    for i, label in zip(rows, predicted):
-        lines.append(f"{_csv_field(table.stations[i])},{_csv_field(table.regions[i])},"
-                     f'{label},"{patterns[label]}",{status[complete[i]]}')
-    _emit("\n".join(lines) + "\n", args.output)
+    _emit(_csv_blocks("station,region,climate_class,cropping_pattern,data_status",
+                      (f"{_csv_field(table.stations[i])},{_csv_field(table.regions[i])},"
+                       f'{label},"{patterns[label]}",{status[complete[i]]}'
+                       for i, label in zip(rows, predicted))),
+          args.output)
     if table.labels is not None:
         correct = sum(label == table.labels[i] for i, label in zip(rows, predicted))
         print(f"holdout accuracy: {100.0 * correct / len(rows):.2f}% "

@@ -10,9 +10,13 @@ comments.  A labeled file appends a trailing `climate_class` column.
 
 A file is parsed once into a `RainfallTable`: station, region, year and
 line-number columns, an n×12 float64 matrix with NaN for a missing month,
-and the label column of a labeled file.  Lines are checked one at a time;
-the rainfall cells of up to `_CHUNK_ROWS` rows are converted together
-with Python's `float`, and the first error in file order is raised.
+and the label column of a labeled file.  Beside the decoded text, the
+table and the stations seen per year for the duplicate check, the parse
+holds one chunk of cells: lines are cut from the text one at a time and
+checked as they come, equal station, region and year values share one
+object, and the rainfall cells of up to `_CHUNK_ROWS` rows are converted
+together with Python's `float` into the matrix, which is allocated once.
+The first error in file order is raised.
 `parse_rainfall_file`, `parse_labeled_file`, `StationYear` and `Dataset`
 are views built from the table, whose values reach them as Python floats.
 Instance rules (finite features, a positive finite weight) are checked
@@ -35,7 +39,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import IO, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -175,8 +179,9 @@ def _read_text(source: Union[str, bytes, IO]) -> str:
 
 
 #: Rows whose rainfall cells are converted together.  It bounds the cell
-#: strings alive at once; a bad cell is found within its chunk.
-_CHUNK_ROWS = 4096
+#: strings and floats alive at once, about 1.1 kB a row; a bad cell is
+#: found within its chunk.
+_CHUNK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,10 +226,10 @@ def _cell_values(cells: List[str]) -> List[float]:
     return [float(text) if (text := cell.strip()) else math.nan for cell in cells]
 
 
-def _rainfall_block(cells: List[str], first_row: int, lines: List[int],
-                    stations: List[str]) -> np.ndarray:
-    """The rainfall of the rows whose month cells ``cells`` holds, 12 a
-    row from row ``first_row`` on, NaN for an empty cell.
+def _fill_rainfall(out: np.ndarray, first_row: int, cells: List[str],
+                   lines: List[int], stations: List[str]) -> None:
+    """Write the rainfall of the rows whose month cells ``cells`` holds, 12
+    a row, into ``out`` from row ``first_row`` on, NaN for an empty cell.
 
     DataError for the first bad cell in file order: text that is not a
     number, or a number below zero or not finite.
@@ -252,21 +257,32 @@ def _rainfall_block(cells: List[str], first_row: int, lines: List[int],
             raise error(i, f"negative or non-finite rainfall {cells[i].strip()}")
     if end < len(cells):
         raise error(end, f"non-numeric rainfall {cells[end].strip()!r}")
-    return block.reshape(-1, 12)
+    out[first_row:first_row + len(block) // 12] = block.reshape(-1, 12)
 
 
 def _content_lines(text: str):
-    """(line number, line without its CR) of each non-blank, non-comment line."""
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        if line.strip() and not line.lstrip().startswith("#"):
+    """(line number, line without its CR) of each non-blank, non-comment
+    line.  Lines are cut from the text one at a time, never all at once."""
+    lineno, start, end = 0, 0, len(text)
+    while start < end:
+        stop = text.find("\n", start)
+        if stop < 0:
+            stop = end
+        lineno += 1
+        line = text[start:stop].rstrip("\r")
+        start = stop + 1
+        head = line.lstrip()
+        if head and head[0] != "#":
             yield lineno, line
 
 
-def _row_key(fields: List[str], n_fields: int, lineno: int, seen: dict):
-    """(station, region, year) of one line's fields.  DataError for, in
-    this order, the field count, the station, the year or a station-year
-    seen on an earlier line."""
+def _row_key(fields: List[str], n_fields: int, lineno: int,
+             seen: Dict[int, Dict[str, int]], shared: dict):
+    """(station, region, year) of one line's fields, each the first equal
+    object met in the file (``shared``).  ``seen`` maps year to station to
+    line number: a file has few years, and often one year per station.
+    DataError for, in this order, the field count, the station, the year
+    or a station-year seen on an earlier line."""
     if len(fields) != n_fields:
         raise DataError(
             f"line {lineno}: expected {n_fields} fields, got {len(fields)}")
@@ -278,44 +294,53 @@ def _row_key(fields: List[str], n_fields: int, lineno: int, seen: dict):
     except ValueError:
         raise DataError(
             f"line {lineno}: non-integer year {fields[2].strip()!r}") from None
-    key = (station, year)
-    if key in seen:
+    station = shared.setdefault(station, station)
+    year = shared.setdefault(year, year)
+    in_year = seen.get(year)
+    if in_year is None:
+        in_year = seen[year] = {}
+    elif station in in_year:
         raise DataError(
             f"line {lineno}: duplicate station-year {station!r}/{year} "
-            f"(first seen on line {seen[key]})")
-    seen[key] = lineno
-    return station, fields[1].strip(), year
+            f"(first seen on line {in_year[station]})")
+    in_year[station] = lineno
+    region = fields[1].strip()
+    return station, shared.setdefault(region, region), year
 
 
-def _parse_table(text: str, labeled: bool) -> RainfallTable:
+def _parse_table(text: str, labeled: Optional[bool] = None) -> RainfallTable:
     """The file's rows, checked line by line and converted a chunk at a
-    time.  The first error in file order is raised; within a line the
-    order is fields, station, year, duplicate, cells by month, label."""
-    expected = LABELED_HEADER if labeled else RAINFALL_HEADER
-    n_fields = 16 if labeled else 15
+    time; raw or labeled as ``labeled`` says, or as the header says when
+    it is None.  The first error in file order is raised; within a line
+    the order is fields, station, year, duplicate, cells by month, label."""
     lines = _content_lines(text)
     lineno, header = next(lines, (0, None))
     if header is None:
         raise DataError("missing header line")
+    if labeled is None:
+        labeled = header.strip() == LABELED_HEADER
+    expected = LABELED_HEADER if labeled else RAINFALL_HEADER
+    n_fields = 16 if labeled else 15
     if header.strip() != expected:
         raise DataError(
             f"line {lineno}: malformed header, expected {expected!r}")
+    # Each row follows a line feed and holds at least the header's 14
+    # commas, which bounds the rows and sizes the matrix once.
+    rainfall = np.empty((min(text.count("\n"), text.count(",") // 14 - 1), 12))
     stations: List[str] = []
     regions: List[str] = []
     years: List[int] = []
     linenos: List[int] = []
     labels: Optional[List[str]] = [] if labeled else None
-    seen: dict = {}
-    blocks = []
+    seen: Dict[int, Dict[str, int]] = {}
+    shared: dict = {}
+    converted = 0  # rows whose cells are in the matrix
     cells: List[str] = []  # month cells of the rows not yet converted
-
-    def convert() -> np.ndarray:
-        return _rainfall_block(cells, len(blocks) * _CHUNK_ROWS, linenos, stations)
 
     for lineno, line in lines:
         fields = line.split(",")
         try:
-            station, region, year = _row_key(fields, n_fields, lineno, seen)
+            station, region, year = _row_key(fields, n_fields, lineno, seen, shared)
             stations.append(station)
             regions.append(region)
             years.append(year)
@@ -329,20 +354,20 @@ def _parse_table(text: str, labeled: bool) -> RainfallTable:
                 labels.append(label)
         except DataError:
             # A bad cell on an earlier line, or earlier on this one, comes first.
-            convert()
+            _fill_rainfall(rainfall, converted, cells, linenos, stations)
             raise
         if len(cells) == 12 * _CHUNK_ROWS:
-            blocks.append(convert())
+            _fill_rainfall(rainfall, converted, cells, linenos, stations)
+            converted += _CHUNK_ROWS
             cells = []
-    blocks.append(convert())
+    _fill_rainfall(rainfall, converted, cells, linenos, stations)
     return RainfallTable(stations, regions, years, linenos,
-                         np.concatenate(blocks), labels)
+                         rainfall[:len(stations)], labels)
 
 
 def parse_table(source: Union[str, bytes, IO]) -> RainfallTable:
     """Parse a rainfall file, raw or labeled (its header says which)."""
-    text = _read_text(source)
-    return _parse_table(text, sniff_labeled(text))
+    return _parse_table(_read_text(source))
 
 
 def parse_rainfall_file(source: Union[str, bytes, IO]) -> List[StationYear]:

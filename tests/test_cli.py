@@ -1,8 +1,10 @@
 import contextlib
 import csv
+import errno
 import functools
 import io
 import math
+import os
 import pathlib
 import random
 import tempfile
@@ -25,6 +27,14 @@ from support import make_stations, run_bounded
 def rain_csv(tmp_path, stations75):
     path = tmp_path / "rain.csv"
     path.write_text(write_rainfall_file(stations75), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture()
+def model_txt(tmp_path, rain_csv):
+    path = tmp_path / "model.txt"
+    assert main(["train", rain_csv, "-o", str(path),
+                 "--algorithm", "gainratio"]) == 0
     return str(path)
 
 
@@ -375,13 +385,6 @@ class TestCompare:
 
 
 class TestRecommend:
-    @pytest.fixture()
-    def model_txt(self, tmp_path, rain_csv):
-        path = tmp_path / "model.txt"
-        assert main(["train", rain_csv, "-o", str(path),
-                     "--algorithm", "gainratio"]) == 0
-        return str(path)
-
     def test_rows_and_pattern_consistency(self, tmp_path, model_txt, capsys):
         test_records = make_stations(n=12, seed=99, year=2014)
         src = tmp_path / "next_year.csv"
@@ -459,6 +462,67 @@ class TestRecommend:
         crippled = tmp_path / "broken.txt"
         crippled.write_bytes(pathlib.Path(model_txt).read_bytes()[:-10])
         assert main(["recommend", str(crippled), rain_csv]) == 2
+
+
+class _FullDisk:
+    """An output file whose writes after the first fail with ENOSPC."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(data)
+
+
+class TestStreamedOutput:
+    """oldeman and recommend write their CSV a block of lines at a time
+    (10 lines a block here, so the 75-station file takes several)."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_LINES", 10)
+
+    @pytest.mark.parametrize("command", ["oldeman", "recommend"])
+    def test_write_error_after_the_first_block(self, tmp_path, rain_csv,
+                                               model_txt, monkeypatch, capsys,
+                                               command):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"precious\n")
+        files = []
+        fdopen = os.fdopen
+
+        def full_disk(fd, *args, **kwargs):
+            files.append(_FullDisk(fdopen(fd, *args, **kwargs)))
+            return files[-1]
+
+        monkeypatch.setattr(os, "fdopen", full_disk)
+        inputs = [rain_csv] if command == "oldeman" else [model_txt, rain_csv]
+        assert main([command, *inputs, "-o", str(out)]) == 2
+        assert [f.writes for f in files] == [2]
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+        assert out.read_bytes() == b"precious\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_recommend_prints_the_bytes_it_writes(self, tmp_path, rain_csv,
+                                                 model_txt, capsys):
+        out = tmp_path / "recs.csv"
+        assert main(["recommend", model_txt, rain_csv, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["recommend", model_txt, rain_csv]) == 0
+        printed = capsys.readouterr().out
+        assert printed.encode("utf-8") == out.read_bytes()
+        assert printed.count("\n") == 76
 
 
 class TestUsage:

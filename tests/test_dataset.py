@@ -1,6 +1,8 @@
 import io
 import math
+import random
 import re
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -102,9 +104,22 @@ class TestParsing:
             for source in (lead + body, (lead + body).replace("\n", "\r\n")):
                 assert sniff_labeled(source) == (body is text)
                 assert sniff_labeled(source.encode()) == (body is text)
+                assert (parse_table(source).labels is not None) == (body is text)
         assert not sniff_labeled("# only a comment\r\n\r\n")
         pairs = parse_labeled_file(text)
         assert pairs[0][1] == "A1"
+
+    def test_matrix_has_one_row_per_data_line(self):
+        # Comment lines with commas and blank lines loosen the bound the
+        # matrix is sized by; a last line without a line feed tightens it.
+        rows = [f"{name},R,2013," + ",".join([str(v)] * 12)
+                for v, name in enumerate("XYZ")]
+        text = "\n".join([HEADER, "# a," * 20, "", rows[0], "# ,,,,,,,,,,,,,,,",
+                          *rows[1:]])
+        table = parse_table(text)
+        assert table.rainfall.shape == (3, 12)
+        assert table.rainfall[:, 0].tolist() == [0.0, 1.0, 2.0]
+        assert table.lines == [4, 6, 7]
 
     def test_labeled_file_rejects_unknown_class(self):
         text = (HEADER + ",climate_class\n"
@@ -639,3 +654,37 @@ def test_parsed_values_are_python_floats():
     assert values.count(None) == 6
     assert all(type(v) is float for v in values if v is not None)
     assert repr(records[0].rainfall[:2]) == "(3.0, None)"
+
+
+# parse_table's peak allocation beyond the text it is given, in bytes per
+# row, on 20,000 rows in 16 regions with 2% of months missing: 800
+# stations of 25 years, or 20,000 stations of one year.  It measures
+# about 260 and 330: the table (165, or 215 when no two rows share a
+# station), the stations seen per year (about 35) and one chunk of cells
+# (about 60 spread over 20,000 rows).  A parse holding a list of every
+# line, a key object per row or a second copy of the matrix took about
+# 690 on both.
+@pytest.mark.parametrize("n_stations, bound", [(800, 350), (20_000, 420)])
+def test_parse_memory_is_the_table_and_one_chunk(n_stations, bound):
+    rng = random.Random(0)
+    years = 20_000 // n_stations
+    lines = [HEADER]
+    for s in range(n_stations):
+        for y in range(years):
+            cells = ["" if rng.random() < 0.02 else f"{rng.uniform(0, 400):.1f}"
+                     for _ in range(12)]
+            lines.append(f"S{s:05d},R{s % 16:02d},{1971 + y}," + ",".join(cells))
+    text = "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        table = parse_table(text)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 20_000
+    assert peak <= bound * len(table), f"{peak / len(table):.0f} B/row"
+    # Equal values share one object.
+    assert len({id(v) for v in table.stations}) == n_stations
+    assert len({id(v) for v in table.regions}) == 16
+    assert len({id(v) for v in table.years}) == years
+    assert table.rainfall.shape == (20_000, 12)
