@@ -168,14 +168,16 @@ class Dataset:
 
 
 def _read_text(source: Union[str, bytes, IO]) -> str:
+    """The source's text without a leading byte order mark, which Excel's
+    "CSV UTF-8" export writes.  Without one, no copy is made."""
     if hasattr(source, "read"):
         source = source.read()
     if isinstance(source, (bytes, bytearray)):
         try:
-            return source.decode("utf-8")
+            source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DataError(f"input is not valid UTF-8: {exc}") from None
-    return source
+    return source.removeprefix("\ufeff")
 
 
 #: Rows whose rainfall cells are converted together.  It bounds the cell

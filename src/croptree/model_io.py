@@ -73,10 +73,10 @@ _NAME_BREAK_RE = re.compile(r"[\s,:{}|]")
 def _check_names(kind: str, names: Sequence[str]) -> None:
     for name in names:
         if not name or _NAME_BREAK_RE.search(name):
-            raise ValueError(f"{kind} name {name!r} cannot be saved: a name is "
-                             "nonempty, without whitespace or any of , : { } |")
+            raise ValueError(f"{kind} name {name!r} cannot be saved or loaded: a "
+                             "name is nonempty, without whitespace or any of , : { } |")
     if len(set(names)) != len(names):
-        raise ValueError(f"{kind} names must be distinct to be saved")
+        raise ValueError(f"{kind} names must be distinct")
 
 
 def save_model(tree: DecisionTree) -> bytes:
@@ -159,7 +159,11 @@ def _parse_leaf(text: str, lineno: int, class_domain: Tuple[str, ...]) -> Leaf:
 
 
 def load_model(data: Union[bytes, str]) -> DecisionTree:
-    """Parse model bytes back into a tree equivalent to the saved one."""
+    """Parse model bytes back into a tree equivalent to the saved one.
+
+    The header's names follow ``save_model``'s rule, so whatever loads
+    saves again to the same bytes.
+    """
     if isinstance(data, (bytes, bytearray)):
         try:
             data = data.decode("utf-8")
@@ -181,10 +185,17 @@ def load_model(data: Union[bytes, str]) -> DecisionTree:
     algorithm = expect(1, "algorithm: ")
     if algorithm not in ALGORITHMS:
         raise ModelFormatError(2, f"unknown algorithm {algorithm!r}")
-    attribute_names = tuple(expect(2, "attributes: ").split(","))
-    class_domain = tuple(expect(3, "classes: ").split(","))
-    if any(not name for name in attribute_names) or any(not c for c in class_domain):
-        raise ModelFormatError(3, "empty attribute or class name")
+
+    def names(i: int, prefix: str, kind: str) -> Tuple[str, ...]:
+        found = tuple(expect(i, prefix).split(","))
+        try:
+            _check_names(kind, found)
+        except ValueError as exc:
+            raise ModelFormatError(i + 1, str(exc)) from None
+        return found
+
+    attribute_names = names(2, "attributes: ", "attribute")
+    class_domain = names(3, "classes: ", "class")
     params = _parse_params(expect(4, "params: "), algorithm, 5)
     if lines[5:6] != ["tree:"]:
         raise ModelFormatError(6, "expected a 'tree:' line")

@@ -118,6 +118,38 @@ class TestOldeman:
         assert not out.exists()
         assert not list(tmp_path.glob("out.csv.*"))
 
+    @pytest.mark.parametrize("kind", ["raw", "labeled"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, rain_csv, kind):
+        # Excel's "CSV UTF-8" export starts the file with U+FEFF.  With it,
+        # oldeman labels a raw file to the same bytes and refuses a labeled
+        # one as already labeled, and train writes the same model.
+        plain = pathlib.Path(rain_csv)
+        if kind == "labeled":
+            labels = tmp_path / "labels.csv"
+            assert main(["oldeman", rain_csv, "-o", str(labels)]) == 0
+            _, rows = _read_csv(labels)
+            header, *lines = plain.read_text(encoding="utf-8").splitlines()
+            plain = tmp_path / "labeled.csv"
+            plain.write_text("\n".join([header + ",climate_class"] + [
+                f"{line},{row[3]}" for line, row in zip(lines, rows)]) + "\n",
+                encoding="utf-8")
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+
+        def run(src):
+            out = tmp_path / f"{src.stem}.out.csv"
+            model = tmp_path / f"{src.stem}.model"
+            code = main(["oldeman", str(src), "-o", str(out)])
+            err = capsys.readouterr().err.replace(str(src), "<input>")
+            assert main(["train", str(src), "-o", str(model),
+                         "--algorithm", "gainratio"]) == 0
+            return (code, err, out.read_bytes() if out.exists() else None,
+                    model.read_bytes())
+
+        expected = run(plain)
+        assert expected[0] == (0 if kind == "raw" else 2)
+        assert run(marked) == expected
+
     def test_missing_policy_error(self, tmp_path):
         records = [StationYear("B", "R", 2013, (250.0,) * 11 + (None,))]
         src = tmp_path / "two.csv"
@@ -296,6 +328,18 @@ class TestTrain:
                 f"assert main(['train', {rain_csv!r}, '-o', "
                 f"{str(tmp_path / 'm.txt')!r}, '--algorithm', 'gainratio']) == 0\n"
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        done = run_bounded(["-c", code])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+
+    def test_cli_import_leaves_the_lazy_imports_alone(self):
+        # statistics (in croptree._beta) and multiprocessing and concurrent
+        # (in evaluation._fold_pool) are imported only where they are used,
+        # which keeps every command's start-up short.
+        code = ("import sys\n"
+                "import croptree.cli\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                "('statistics', 'multiprocessing', 'concurrent')))\n")
         done = run_bounded(["-c", code])
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines()[-1] == "[]"

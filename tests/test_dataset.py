@@ -109,6 +109,20 @@ class TestParsing:
         pairs = parse_labeled_file(text)
         assert pairs[0][1] == "A1"
 
+    def test_byte_order_mark_is_ignored(self):
+        # Excel's "CSV UTF-8" export starts the file with U+FEFF.
+        labeled = (HEADER + ",climate_class\n"
+                   + "X,R,2013," + ",".join(["250"] * 12) + ",A1\n")
+        for text in (SAMPLE, labeled):
+            plain = parse_table(text)
+            marked = "\ufeff" + text
+            for source in (marked, marked.encode()):
+                assert sniff_labeled(source) == (text is labeled)
+                table = parse_table(source)
+                assert table.records() == plain.records()
+                assert table.labels == plain.labels
+                assert table.lines == plain.lines
+
     def test_matrix_has_one_row_per_data_line(self):
         # Comment lines with commas and blank lines loosen the bound the
         # matrix is sized by; a last line without a line feed tightens it.

@@ -16,6 +16,14 @@ def _model(algorithm="gainratio", seed=1, rng_seed=12):
     return train(ds, TrainParams(algorithm, seed=seed))
 
 
+def _single_leaf_model(attributes, classes, leaf):
+    """A hand-written gainratio model whose body is the one ``leaf`` line."""
+    return ("croptree-model v1\nalgorithm: gainratio\n"
+            f"attributes: {','.join(attributes)}\nclasses: {','.join(classes)}\n"
+            "params: min_leaf=2 confidence_factor=0.25 prune=true seed=1\n"
+            f"tree:\n{leaf}\n")
+
+
 class TestSave:
     def test_header_layout(self):
         model = _model()
@@ -80,6 +88,17 @@ class TestSave:
         model = train(ds, TrainParams("gainratio", min_leaf=1, prune=False))
         with pytest.raises(ValueError, match="cannot be saved|distinct"):
             save_model(model)
+        # The same names in a hand-written header: the header is rejected,
+        # or (where a comma splits a name) it loads names that save back to
+        # the same bytes.  The leaf names the header's last class.
+        last = ",".join(classes).split(",")[-1]
+        text = _single_leaf_model(attributes, classes, f": {last} (1/0)")
+        try:
+            loaded = load_model(text)
+        except ModelFormatError as exc:
+            assert exc.line_number in (3, 4)
+        else:
+            assert save_model(loaded).decode() == text
 
     def test_auto_k_is_stored_resolved(self):
         model = _model("randomsubset")
@@ -196,6 +215,19 @@ class TestLoadErrors:
         with pytest.raises(ModelFormatError):
             load_model(blob)
 
+    @pytest.mark.parametrize("attributes, classes, line", [
+        pytest.param(("a", "a"), ("X", "Y"), 3, id="repeated-attribute"),
+        pytest.param(("a", "x y"), ("X", "Y"), 3, id="space-in-attribute"),
+        pytest.param(("a", ""), ("X", "Y"), 3, id="empty-attribute"),
+        pytest.param(("a",), ("X", "Y", "X"), 4, id="repeated-class"),
+        pytest.param(("a",), ("X", "x y"), 4, id="space-in-class"),
+        pytest.param(("a",), ("X", ""), 4, id="empty-class"),
+    ])
+    def test_header_names_follow_the_save_rule(self, attributes, classes, line):
+        with pytest.raises(ModelFormatError) as info:
+            load_model(_single_leaf_model(attributes, classes, ": X (1/0)"))
+        assert info.value.line_number == line
+
     def test_error_carries_line_number(self):
         with pytest.raises(ModelFormatError) as info:
             load_model("croptree-model v1\nnot-a-header\n")
@@ -214,21 +246,35 @@ class TestLoadErrors:
 GOLDEN_TEXTS = sorted(path.read_text(encoding="utf-8") for path in
                       (pathlib.Path(__file__).parent / "golden").glob("*.model"))
 
-_MUTATIONS = ("drop", "duplicate", "indent", "dedent", "swap")
+_MUTATIONS = ("drop", "duplicate", "indent", "dedent", "swap", "repeat name")
 
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_mutated_model_is_rejected_or_resaves_canonically(data):
     """Golden files with tree-body lines dropped, duplicated or
-    re-indented, or two characters of a body line swapped, either fail to
-    load with ModelFormatError or load to a tree that re-saves unchanged."""
+    re-indented, a name repeated in the attributes or classes line, or two
+    characters of either of those lines or of a body line swapped, either
+    fail to load with ModelFormatError or load to a tree that re-saves
+    unchanged."""
     lines = data.draw(st.sampled_from(GOLDEN_TEXTS)).split("\n")
     for _ in range(data.draw(st.integers(1, 3))):
-        # Body lines only: lines[:6] is the header, lines[-1] the final "".
-        k = data.draw(st.integers(6, len(lines) - 2))
         kind = data.draw(st.sampled_from(_MUTATIONS))
-        if kind == "drop":
+        # lines[2:4] are the attributes and classes lines, lines[:6] the
+        # whole header, lines[6:-1] the body and lines[-1] the final "".
+        if kind == "repeat name":
+            k = data.draw(st.integers(2, 3))
+        elif kind == "swap":
+            k = data.draw(st.sampled_from([2, 3, *range(6, len(lines) - 1)]))
+        else:
+            k = data.draw(st.integers(6, len(lines) - 2))
+        if kind == "repeat name":
+            head, _, names = lines[k].partition(": ")
+            names = names.split(",")
+            names.insert(data.draw(st.integers(0, len(names))),
+                         data.draw(st.sampled_from(names)))
+            lines[k] = f"{head}: {','.join(names)}"
+        elif kind == "drop":
             del lines[k]
         elif kind == "duplicate":
             lines.insert(k, lines[k])

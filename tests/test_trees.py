@@ -18,10 +18,10 @@ from croptree import (CLASS_DOMAIN, Dataset, DecisionTree, LabeledInstance,
                       TrainParams, UndefinedSplitError, entropy, gain_ratio,
                       info_gain, load_model, predict, predict_rows, save_model,
                       split_candidates, train, tree_size)
+from croptree._beta import _beta_upper_quantile, _ibeta
 from croptree.trees import (Internal, Leaf, _attribute_candidates,
-                            _beta_upper_quantile, _choose_by_gain, _grow,
-                            _ibeta, _reduced_error_prune, _root, _score_all,
-                            _upper_error_estimate, walk)
+                            _choose_by_gain, _grow, _reduced_error_prune,
+                            _root, _score_all, _upper_error_estimate, walk)
 from support import random_consistent_dataset, random_dataset, run_bounded
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
