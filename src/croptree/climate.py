@@ -204,7 +204,12 @@ def classify_rows(
     None.  Each row is checked in month order, and RowError names the
     first row that fails: an invalid value (not finite, or negative)
     before any missing month, or, under ERROR, any missing month.
+    ValueError unless ``rainfall`` is n×12 and ``missing`` has its shape.
     """
+    shape = np.shape(rainfall)
+    if len(shape) != 2 or shape[1] != 12 or np.shape(missing) != shape:
+        raise ValueError(f"expected an n×12 rainfall matrix and a missing mask "
+                         f"of its shape, got {shape} and {np.shape(missing)}")
     invalid = ~(missing | ((rainfall >= 0) & (rainfall < math.inf)))
     problem = invalid if policy is MissingPolicy.ZERO_FILL else invalid | missing
     rows = np.flatnonzero(problem.any(axis=1))

@@ -35,6 +35,7 @@ The labeling functions alone reject input with nothing to label.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -60,7 +61,7 @@ def format_number(x: float) -> str:
     """
     if x == int(x) and abs(x) < 1e16:
         return str(int(x))
-    return repr(x)
+    return repr(float(x))
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,17 @@ class StationYear:
     @property
     def complete(self) -> bool:
         return all(v is not None for v in self.rainfall)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a Python int; ValueError unless it is an integer other
+    than a bool (numpy's integers are integers)."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return int(operator.index(value))
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_finite(features, owner: str) -> None:
@@ -394,16 +406,18 @@ def write_rainfall_file(records: Iterable[StationYear]) -> str:
 
     ValueError, naming the station, for a record that would not read back
     the same: a comma, line feed or surrounding whitespace in the station
-    or region, a station id starting with '#', rainfall below zero or not
-    finite, or a (station, year) written before.  An inner CR is kept.
+    or region, a station id starting with '#', a year that is not an
+    integer (a bool is not one), rainfall below zero or not finite, or a
+    (station, year) written before.  An inner CR is kept.
     """
     lines = [RAINFALL_HEADER]
     seen = set()
     for rec in records:
-        if (rec.station_id, rec.year) in seen:
-            raise ValueError(f"station {rec.station_id!r} year {rec.year}: "
+        year = _integer(f"station {rec.station_id!r}: year", rec.year)
+        if (rec.station_id, year) in seen:
+            raise ValueError(f"station {rec.station_id!r} year {year}: "
                              "duplicate station-year")
-        seen.add((rec.station_id, rec.year))
+        seen.add((rec.station_id, year))
         if rec.station_id.startswith("#") or any(
                 "," in text or "\n" in text or text != text.strip()
                 for text in (rec.station_id, rec.region)):
@@ -412,7 +426,7 @@ def write_rainfall_file(records: Iterable[StationYear]) -> str:
         if not all(v is None or (math.isfinite(v) and v >= 0) for v in rec.rainfall):
             raise ValueError(f"station {rec.station_id!r}: rainfall must be "
                              "nonnegative and finite")
-        cells = [rec.station_id, rec.region, str(rec.year)]
+        cells = [rec.station_id, rec.region, str(year)]
         cells += ["" if v is None else format_number(v) for v in rec.rainfall]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -514,9 +528,11 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> List[List[int]]:
     """Partition instance indices into k folds, stratified by class.
 
     Per-class counts across folds differ by at most one; the result is a
-    deterministic function of (dataset, k, seed).
+    deterministic function of (dataset, k, seed).  ValueError unless k is
+    an integer from 2 to the instance count.
     """
     n = len(dataset.instances)
+    k = _integer("k", k)
     if k < 2:
         raise ValueError(f"need at least 2 folds, got {k}")
     if k > n:

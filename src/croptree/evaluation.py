@@ -22,7 +22,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from .dataset import Dataset, stratified_folds
+from .dataset import Dataset, _integer, stratified_folds
 from .trees import (_SMALL_NODE, DecisionTree, Prediction, TrainParams, _root,
                     _train, predict, train, tree_size)
 
@@ -161,6 +161,8 @@ def cross_validate(dataset: Dataset, params: TrainParams, k: int,
     Folds train in forked worker processes, one per usable CPU, and serially
     on one CPU, where the platform cannot fork, inside a daemonic process,
     or for a dataset of at most 16 rows; the report does not depend on which.
+    ValueError unless ``k`` and ``seed`` are integers (not bools): each
+    fold's learner takes a seed derived from ``seed``.
     """
     return _cross_validate(dataset, [params], k, seed)[0]
 
@@ -216,6 +218,7 @@ def _cross_validate(dataset: Dataset, learners: Sequence[TrainParams], k: int,
     first, and the workers have ended when this returns or raises.  A
     worker that dies raises ``BrokenProcessPool``.
     """
+    seed = _integer("seed", seed)
     folds = stratified_folds(dataset, k, seed)
     state = (dataset, _root(dataset), folds, learners, seed)
     tasks = [(l, f) for l in range(len(learners)) for f in range(len(folds))]

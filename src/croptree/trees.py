@@ -16,9 +16,11 @@ leaf carries the per-class training weight it received.
 The learners share one split kernel, one grower and one pruner.  They
 differ only in the grower's two hooks (which attributes a node scores,
 how it picks the split) and in the pruner's error estimate, which starts
-from ``Leaf.errors``.  Every whole-tree traversal (growing, pruning,
-sizing, equality, hashing, saving, loading, routing rows) runs on
-``walk``, one explicit-stack walker, so trees of any depth work.
+from ``Leaf.errors``.  A scorer yields one candidate list per attribute,
+[(threshold, gain, ratio), ...], whose largest gain is the attribute's
+best gain.  Every whole-tree traversal (growing, pruning, sizing,
+equality, hashing, saving, loading, routing rows) runs on ``walk``, one
+explicit-stack walker, so trees of any depth work.
 
 Training reads the columns a ``Dataset`` derives once: feature tuples,
 class indices and an n×A matrix (NaN if missing), which only a node of
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -62,7 +65,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ._beta import _beta_upper_quantile
-from .dataset import Dataset, _check_finite
+from .dataset import Dataset, _check_finite, _integer
 
 #: Tolerance used when comparing gains and ratios; candidates within this
 #: band count as tied and the earlier candidate in pinned order wins.
@@ -91,7 +94,8 @@ class TrainParams:
     ``min_leaf`` and ``prune``/``confidence_factor`` apply to gainratio,
     ``min_leaf`` and ``prune_folds`` to reducederror, and ``k`` (None
     resolves to max(1, ceil(log2(n_attrs)) + 1)) to randomsubset, which
-    always uses min_leaf 1 and no pruning.
+    always uses min_leaf 1 and no pruning.  Fields are stored as Python
+    ``int``, ``bool`` and ``float``, so a saved model's params load back.
     """
 
     algorithm: str
@@ -105,6 +109,17 @@ class TrainParams:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        for name in ("min_leaf", "k", "prune_folds", "seed"):
+            value = getattr(self, name)
+            if value is not None or name != "k":
+                object.__setattr__(self, name, _integer(name, value))
+        if not isinstance(self.prune, (bool, np.bool_)):
+            raise ValueError(f"prune must be a bool, got {self.prune!r}")
+        if not isinstance(self.confidence_factor, numbers.Real):
+            raise ValueError("confidence_factor must be a real number, "
+                             f"got {self.confidence_factor!r}")
+        object.__setattr__(self, "prune", bool(self.prune))
+        object.__setattr__(self, "confidence_factor", float(self.confidence_factor))
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be at least 1")
         if not 0.0 < self.confidence_factor < 1.0:
@@ -261,9 +276,18 @@ def _midpoint(lo: float, hi: float) -> float:
 
 def _dataset_candidates(dataset: Dataset, attribute_index: int):
     """Every threshold of one attribute over the whole dataset, unfiltered."""
-    _best, cands = _attribute_candidates(
-        dataset, _root(dataset), attribute_index, len(dataset.class_domain), 0)
-    return cands
+    n_attrs = len(dataset.attribute_names)
+    if not 0 <= _integer("attribute_index", attribute_index) < n_attrs:
+        raise ValueError(f"attribute_index {attribute_index!r} is outside "
+                         f"0..{n_attrs - 1}")
+    node = _root(dataset)
+    n_classes = len(dataset.class_domain)
+    if len(node) <= _SMALL_NODE:
+        return _small_candidates(dataset.features, node, attribute_index,
+                                 n_classes, 0)
+    scores = _block_scores(dataset, node, [attribute_index], n_classes, 0)
+    return list(zip(scores.threshold.tolist(), scores.gain.tolist(),
+                    scores.ratio.tolist()))
 
 
 def split_candidates(dataset: Dataset, attribute_index: int) -> List[float]:
@@ -326,7 +350,6 @@ _BLOCK_CELLS = 2048
 class _Scores(NamedTuple):
     """A node's admissible split candidates, by column, then threshold."""
 
-    best: np.ndarray  # per column, its largest candidate gain or 0.0
     col: np.ndarray
     row: np.ndarray  # the sorted row that ends the candidate's left side
     threshold: np.ndarray
@@ -357,25 +380,14 @@ def _is_pure(counts) -> bool:
     return True
 
 
-def _attribute_candidates(dataset: Dataset, node, attr: int, n_classes: int,
-                          min_leaf: float):
+def _small_candidates(features, node, attr: int, n_classes: int, min_leaf: float):
     """All admissible thresholds for one attribute at one node.
 
-    Returns (best_gain, [(threshold, gain, ratio), ...]) with thresholds
-    strictly increasing.  A candidate is admissible when both fractional
-    branch weights reach min_leaf and neither one's share of the node's
-    weight rounds to 0.
+    Returns [(threshold, gain, ratio), ...] with thresholds strictly
+    increasing, scored one candidate at a time.  A candidate is admissible
+    when both fractional branch weights reach min_leaf and neither one's
+    share of the node's weight rounds to 0.
     """
-    if len(node) <= _SMALL_NODE:
-        return _small_candidates(dataset.features, node, attr, n_classes, min_leaf)
-    scores = _block_scores(dataset, node, [attr], n_classes, min_leaf)
-    return float(scores.best[0]), list(zip(scores.threshold.tolist(),
-                                           scores.gain.tolist(),
-                                           scores.ratio.tolist()))
-
-
-def _small_candidates(features, node, attr: int, n_classes: int, min_leaf: float):
-    """``_attribute_candidates`` for a small node, one candidate at a time."""
     present = []
     miss_counts = [0.0] * n_classes
     miss_w = 0.0
@@ -396,7 +408,7 @@ def _small_candidates(features, node, attr: int, n_classes: int, min_leaf: float
     known_w = total_w - miss_w
     # None without two present rows, or when their weight rounds away.
     if len(present) < 2 or known_w <= 0.0:
-        return 0.0, []
+        return []
     parent_h = 0.0
     for c in active:
         p = total_counts[c] / total_w
@@ -405,7 +417,6 @@ def _small_candidates(features, node, attr: int, n_classes: int, min_leaf: float
 
     left_counts = [0.0] * n_classes
     left_known = 0.0
-    best_gain = 0.0
     out = []
     i = 0
     n = len(present)
@@ -439,10 +450,8 @@ def _small_candidates(features, node, attr: int, n_classes: int, min_leaf: float
         if gain < 0.0:
             gain = 0.0
         ratio = gain / -(pl * _log2(pl) + pr * _log2(pr))
-        if gain > best_gain:
-            best_gain = gain
         out.append((threshold, gain, ratio))
-    return best_gain, out
+    return out
 
 
 def _column_sums(rows):
@@ -546,17 +555,15 @@ def _group_scores(values, weights, code, k: int, min_leaf: float):
     gain[gain < 0.0] = 0.0
     pl, pr = lw / total, rw / total
     ratio = gain / -(pl * np.log2(pl) + pr * np.log2(pr))
-    best = np.zeros(n_attrs)
-    np.maximum.at(best, col, gain)
     lo, hi = v[col, row], v[col, row + 1]
     with np.errstate(over="ignore"):
         mid = (lo + hi) / 2.0
     threshold = np.where((lo <= mid) & (mid < hi), mid, lo)  # as _midpoint
-    return _Scores(best, col, row, threshold, gain, ratio)
+    return _Scores(col, row, threshold, gain, ratio)
 
 
 def _evaluate(dataset: Dataset, node, attrs, n_classes: int, min_leaf: float):
-    """Each attribute's (best_gain, candidates) at ``node``, in ``attrs`` order.
+    """Each attribute's candidate list at ``node``, in ``attrs`` order.
 
     A small node yields them lazily.  A larger node lists only the
     candidates a chooser can take: above every earlier candidate of the
@@ -575,8 +582,7 @@ def _evaluate(dataset: Dataset, node, attrs, n_classes: int, min_leaf: float):
     cands = list(zip(scores.threshold[keep].tolist(), scores.gain[keep].tolist(),
                      scores.ratio[keep].tolist()))
     ends = np.searchsorted(col[keep], np.arange(len(attrs) + 1)).tolist()
-    return [(best, cands[ends[j]:ends[j + 1]])
-            for j, best in enumerate(scores.best.tolist())]
+    return [cands[ends[j]:ends[j + 1]] for j in range(len(attrs))]
 
 
 def _partition(features, node, attr: int, threshold: float):
@@ -619,31 +625,41 @@ def _score_random_subset(n_attrs: int, n_classes: int, k: int, seed: int):
         # so sibling subtrees are independent of evaluation order.
         order = list(range(n_attrs))
         random.Random(f"{seed}:{path}").shuffle(order)
-        evals = [(0.0, [])] * n_attrs
+        evals = [[]] * n_attrs
         head = list(_evaluate(dataset, node, order[:k], n_classes, 1))
-        for a, ev in zip(order[:k], head):
-            evals[a] = ev
-        if not any(g > EPS for g, _cands in head):
+        for a, cands in zip(order[:k], head):
+            evals[a] = cands
+        if not any(_best_gain(cands) > EPS for cands in head):
             # Go on past the subset, in the node's order, up to the first
             # attribute with a positive gain.
-            for a, ev in zip(order[k:], _evaluate(dataset, node, order[k:],
-                                                  n_classes, 1)):
-                evals[a] = ev
-                if ev[0] > EPS:
+            for a, cands in zip(order[k:], _evaluate(dataset, node, order[k:],
+                                                     n_classes, 1)):
+                evals[a] = cands
+                if _best_gain(cands) > EPS:
                     break
         return evals
     return score
 
 
+def _best_gain(cands) -> float:
+    """An attribute's largest candidate gain, 0.0 without candidates."""
+    best = 0.0
+    for _threshold, gain, _ratio in cands:
+        if gain > best:
+            best = gain
+    return best
+
+
 def _choose_by_gain_ratio(evals) -> Optional[Tuple[int, float]]:
     """Best gain ratio among attributes whose gain reaches the mean."""
-    positive = [g for g, _cands in evals if g > EPS]
+    gains = [_best_gain(cands) for cands in evals]
+    positive = [g for g in gains if g > EPS]
     if not positive:
         return None
     floor = sum(positive) / len(positive) - EPS
     best_ratio = 0.0
     choice = None
-    for a, (g, cands) in enumerate(evals):
+    for a, (g, cands) in enumerate(zip(gains, evals)):
         if g > EPS and g >= floor:
             for threshold, _gain, ratio in cands:
                 if ratio > best_ratio + EPS:
@@ -656,7 +672,7 @@ def _choose_by_gain(evals) -> Optional[Tuple[int, float]]:
     """Best information gain over every scored candidate."""
     best_gain = 0.0
     choice = None
-    for a, (_g, cands) in enumerate(evals):
+    for a, cands in enumerate(evals):
         for threshold, gain, _ratio in cands:
             if gain > best_gain + EPS:
                 best_gain = gain
@@ -667,9 +683,9 @@ def _choose_by_gain(evals) -> Optional[Tuple[int, float]]:
 def _grow(dataset: Dataset, root, n_classes: int, score, choose) -> Node:
     """Grow a tree depth-first on ``walk`` from the node ``root``.
 
-    ``score(dataset, node, path)`` gives each attribute's (best_gain,
-    candidates), (0.0, []) if unexamined; ``path`` is the node's L/R steps
-    from the root.  ``choose(evals)`` picks the (attribute, threshold) or None.
+    ``score(dataset, node, path)`` gives each attribute's candidate list,
+    [] if unexamined; ``path`` is the node's L/R steps from the root.
+    ``choose(evals)`` picks the (attribute, threshold) or None.
     """
     def expand(task):
         node, path = task
@@ -682,8 +698,7 @@ def _grow(dataset: Dataset, root, n_classes: int, score, choose) -> Node:
                 # No informative split; still separate the node so
                 # consistent data always trains to purity.
                 choice = next(((a, cands[0][0])
-                               for a, (_g, cands) in enumerate(evals) if cands),
-                              None)
+                               for a, cands in enumerate(evals) if cands), None)
         if choice is None:
             return Leaf(tuple(counts)), None
         left, right = _partition(dataset.features, node, *choice)

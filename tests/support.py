@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 from croptree import Dataset, LabeledInstance, StationYear
+from croptree.trees import _block_scores, _root, _small_candidates
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -80,6 +81,17 @@ def random_feature_vector(rng, n_attrs, missing_prob=0.25):
     return tuple(None if rng.random() < missing_prob
                  else round(rng.uniform(-50.0, 450.0), 2)
                  for _ in range(n_attrs))
+
+
+def kernel_candidates(dataset, attr, min_leaf):
+    """Both split kernels' candidate lists, [(threshold, gain, ratio), ...],
+    for one attribute over every row of ``dataset``: (Python, numpy)."""
+    node = _root(dataset)
+    n_classes = len(dataset.class_domain)
+    scores = _block_scores(dataset, node, [attr], n_classes, min_leaf)
+    return (_small_candidates(dataset.features, node, attr, n_classes, min_leaf),
+            list(zip(scores.threshold.tolist(), scores.gain.tolist(),
+                     scores.ratio.tolist())))
 
 
 def run_bounded(args, timeout=60, memory=1_500_000_000):

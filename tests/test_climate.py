@@ -1,14 +1,15 @@
 import pickle
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from croptree import (CLASS_DOMAIN, ClimateType, CroppingPattern, DataError,
                       MissingMonthError, MissingPolicy, MonthCategory,
-                      categorize_month, classify_oldeman, cropping_pattern,
-                      pattern_for_label, run_summary)
+                      categorize_month, classify_oldeman, classify_rows,
+                      cropping_pattern, pattern_for_label, run_summary)
 
 W, M, D = MonthCategory.WET, MonthCategory.MOIST, MonthCategory.DRY
 
@@ -172,6 +173,20 @@ def test_pattern_for_unknown_label():
         pattern_for_label("F1")
     with pytest.raises(ValueError):
         pattern_for_label("E2")  # class-domain codes collapse E subtypes
+
+
+@pytest.mark.parametrize("rain_shape, missing_shape", [
+    ((3, 11), (3, 11)),  # used to label every row E4
+    ((3, 13), (3, 13)),
+    ((3, 12), (1, 12)),  # used to broadcast one mask over every row
+    ((3, 12), (3, 11)),
+    ((12,), (12,)),  # used to raise numpy's AxisError
+    ((2, 3, 12), (2, 3, 12)),
+])
+def test_classify_rows_rejects_a_matrix_of_the_wrong_shape(rain_shape,
+                                                           missing_shape):
+    with pytest.raises(ValueError, match="n×12"):
+        classify_rows(np.full(rain_shape, 250.0), np.zeros(missing_shape, bool))
 
 
 def test_climate_type_validation():

@@ -187,6 +187,27 @@ def test_write_rejects_embedded_commas(station, region, december):
         write_rainfall_file([record])
 
 
+def test_write_reads_back_numpy_values():
+    # numpy 2 reprs a float64 as 'np.float64(250.5)', which the parser
+    # read as non-numeric rainfall
+    row = np.array([250.5, 0.1, 300.0] + [1e-7] * 8 + [12345.678])
+    records = [StationYear("A", "R", np.int64(2013), tuple(row)),
+               StationYear("B", "R", np.int32(2014),
+                           (None,) + tuple(np.float32(0.5) for _ in range(11)))]
+    text = write_rainfall_file(records)
+    assert "np." not in text
+    assert parse_rainfall_file(text) == records
+    assert write_rainfall_file(parse_rainfall_file(text)) == text
+
+
+@pytest.mark.parametrize("year", [2013.5, True, "2013"])
+def test_write_rejects_a_year_that_is_not_an_integer(year):
+    # each used to be written, and none read back as the same record
+    record = StationYear("A", "R", year, (1.0,) * 12)
+    with pytest.raises(ValueError, match=re.escape("station 'A': year")):
+        write_rainfall_file([record])
+
+
 def test_write_rejects_a_repeated_station_year():
     # the parser would reject the second record as a duplicate
     records = [StationYear("A", "R", 2013, (1.0,) * 12),
@@ -295,6 +316,8 @@ class TestStratifiedFolds:
             stratified_folds(dataset, 4, seed=1)
         with pytest.raises(ValueError):
             stratified_folds(dataset, 1, seed=1)
+        with pytest.raises(ValueError):  # was a TypeError
+            stratified_folds(dataset, 2.0, seed=1)
 
 
 class TestCountTable:

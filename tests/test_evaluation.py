@@ -164,6 +164,15 @@ class TestCrossValidate:
         second = cross_validate(dataset75, params, 5, seed=2)
         assert first == second
 
+    @pytest.mark.parametrize("k, seed, name", [(2.0, 1, "k"), (2, 1.5, "seed"),
+                                               (2, True, "seed")])
+    def test_k_and_seed_must_be_integers(self, k, seed, name):
+        # k=2.0 raised TypeError; seed=1.5 and seed=True trained, on fold
+        # seeds derived as seed * 1_000_003 + fold
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            cross_validate(_threshold_dataset(), TrainParams("gainratio"), k,
+                           seed=seed)
+
     def test_every_instance_predicted_once(self):
         # pooled confusion total equals the dataset size
         ds = _threshold_dataset(23)

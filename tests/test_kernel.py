@@ -1,11 +1,13 @@
-"""The columnar split kernel against the pure-Python reference.
+"""Both split kernels against the pure-Python reference.
 
 ``reference_kernel.attribute_candidates`` scores one candidate at a time
-with plain loops.  The kernel must give exactly the same thresholds and
-gains, ratios and best gains within 1e-12 (numpy's log2 may differ from
-math.log2 in the last bit).  Nodes run from 2 to 3,000 rows, so both
-sides of the small-node cut-over are covered; the exhaustive oracle in
-the acceptance suite only reaches five rows.
+with plain loops.  Each kernel, the Python one (``_small_candidates``)
+and the numpy one (``_block_scores``), must give exactly the same
+thresholds, and gains, ratios and the best gain within 1e-12 (numpy's
+log2 may differ from math.log2 in the last bit).  Both run at every node
+size from 2 to 3,000 rows, on either side of the small-node cut-over
+that training uses; the exhaustive oracle in the acceptance suite only
+reaches five rows.
 """
 
 import random
@@ -16,8 +18,9 @@ import reference_kernel
 from croptree import (Dataset, LabeledInstance, TrainParams, save_model,
                       train)
 from croptree import trees
-from croptree.trees import (Leaf, _attribute_candidates, _choose_by_gain,
+from croptree.trees import (Leaf, _best_gain, _choose_by_gain,
                             _choose_by_gain_ratio, _evaluate, _root)
+from support import kernel_candidates
 
 TOL = 1e-12
 
@@ -49,14 +52,19 @@ def _rows_dataset(rows, n_attrs, n_classes):
         LabeledInstance(feats, classes[cls], weight=w) for feats, cls, w in rows))
 
 
-def _assert_same(got, want):
-    best, cands = got
+def _assert_same(cands, want):
     ref_best, ref_cands = want
     assert [t for t, _g, _r in cands] == [t for t, _g, _r in ref_cands]
     for (_t, gain, ratio), (_rt, ref_gain, ref_ratio) in zip(cands, ref_cands):
         assert gain == pytest.approx(ref_gain, rel=0, abs=TOL)
         assert ratio == pytest.approx(ref_ratio, rel=0, abs=TOL)
-    assert best == pytest.approx(ref_best, rel=0, abs=TOL)
+    assert _best_gain(cands) == pytest.approx(ref_best, rel=0, abs=TOL)
+
+
+def _assert_kernels_match(dataset, rows, attr, n_classes, min_leaf):
+    want = reference_kernel.attribute_candidates(rows, attr, n_classes, min_leaf)
+    for cands in kernel_candidates(dataset, attr, min_leaf):
+        _assert_same(cands, want)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -69,11 +77,7 @@ def test_kernel_matches_reference(n):
         min_leaf = rng.choice((0, 1, 2, 5))
         dataset = _rows_dataset(rows, 2, n_classes)
         for attr in range(2):
-            _assert_same(
-                _attribute_candidates(dataset, _root(dataset), attr, n_classes,
-                                      min_leaf),
-                reference_kernel.attribute_candidates(
-                    rows, attr, n_classes, min_leaf))
+            _assert_kernels_match(dataset, rows, attr, n_classes, min_leaf)
 
 
 def test_kernel_matches_reference_past_one_slice():
@@ -84,8 +88,7 @@ def test_kernel_matches_reference_past_one_slice():
             for i in range(3 * trees._BLOCK_CELLS)]
     dataset = _rows_dataset(rows, 2, 5)
     for attr in range(2):
-        _assert_same(_attribute_candidates(dataset, _root(dataset), attr, 5, 2),
-                     reference_kernel.attribute_candidates(rows, attr, 5, 2))
+        _assert_kernels_match(dataset, rows, attr, 5, 2)
 
 
 @pytest.mark.parametrize("n", (4, 17, 40))
@@ -97,9 +100,9 @@ def test_kernel_threshold_separates_neighbours(n, lo, hi):
     rows = [((lo if i % 2 else hi, None if i % 5 == 0 else float(i)), i % 2, 1.0)
             for i in range(n)]
     dataset = _rows_dataset(rows, 2, 2)
-    got = _attribute_candidates(dataset, _root(dataset), 0, 2, 1)
-    _assert_same(got, reference_kernel.attribute_candidates(rows, 0, 2, 1))
-    assert [t for t, _g, _r in got[1]] == [lo]
+    _assert_kernels_match(dataset, rows, 0, 2, 1)
+    for cands in kernel_candidates(dataset, 0, 1):
+        assert [t for t, _g, _r in cands] == [lo]
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -120,10 +123,11 @@ def test_block_keeps_every_choice(monkeypatch, n):
         ref = [reference_kernel.attribute_candidates(rows, a, n_classes,
                                                      min_leaf)
                for a in range(n_attrs)]
-        assert _choose_by_gain_ratio(evals) == _choose_by_gain_ratio(ref)
-        assert _choose_by_gain(evals) == _choose_by_gain(ref)
-        for (best, cands), (ref_best, ref_cands) in zip(evals, ref):
-            assert best == pytest.approx(ref_best, rel=0, abs=TOL)
+        ref_lists = [ref_cands for _best, ref_cands in ref]
+        assert _choose_by_gain_ratio(evals) == _choose_by_gain_ratio(ref_lists)
+        assert _choose_by_gain(evals) == _choose_by_gain(ref_lists)
+        for cands, (ref_best, ref_cands) in zip(evals, ref):
+            assert _best_gain(cands) == pytest.approx(ref_best, rel=0, abs=TOL)
             kept = [t for t, _g, _r in cands]
             listed = [t for t, _g, _r in ref_cands]
             assert kept[:1] == listed[:1]

@@ -19,10 +19,11 @@ from croptree import (CLASS_DOMAIN, Dataset, DecisionTree, LabeledInstance,
                       info_gain, load_model, predict, predict_rows, save_model,
                       split_candidates, train, tree_size)
 from croptree._beta import _beta_upper_quantile, _ibeta
-from croptree.trees import (Internal, Leaf, _attribute_candidates,
-                            _choose_by_gain, _grow, _reduced_error_prune,
-                            _root, _score_all, _upper_error_estimate, walk)
-from support import random_consistent_dataset, random_dataset, run_bounded
+from croptree.trees import (Internal, Leaf, _choose_by_gain, _grow,
+                            _reduced_error_prune, _root, _score_all,
+                            _upper_error_estimate, walk)
+from support import (kernel_candidates, random_consistent_dataset,
+                     random_dataset, run_bounded)
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -70,6 +71,19 @@ class TestSplitCandidates:
     def test_ignores_missing(self):
         ds = _dataset([(100.0, 0, "X"), (None, 0, "X"), (200.0, 0, "Y")])
         assert split_candidates(ds, 0) == [150.0]
+
+    @pytest.mark.parametrize("n", (3, 40))
+    @pytest.mark.parametrize("attribute_index", (-1, -3, 2, 7, 1.0, True))
+    def test_attribute_index_out_of_range(self, n, attribute_index):
+        # -1 used to score the last attribute, 2 raised IndexError, 1.0
+        # TypeError, and True scored attribute 1; 3 rows go through the
+        # Python kernel, 40 through numpy.
+        ds = _dataset([(float(i), float(i % 3), "XY"[i % 2]) for i in range(n)])
+        with pytest.raises(ValueError, match="attribute_index"):
+            split_candidates(ds, attribute_index)
+        for helper in (info_gain, gain_ratio):
+            with pytest.raises(ValueError, match="attribute_index"):
+                helper(ds, attribute_index, 0.5)
 
     @pytest.mark.parametrize("lo, hi", ((1.0000000000000002, 1.0000000000000004),
                                         (1.6e308, 1.7e308), (-1.7e308, -1.6e308)))
@@ -172,17 +186,15 @@ class TestGain:
         for _ in range(150):
             ds = random_dataset(rng, max_instances=20, n_attrs=3,
                                 value_pool=(0.0, 50.0, 100.0, 300.0))
-            node = _root(ds)
             for attr in range(3):
-                _best, cands = _attribute_candidates(
-                    ds, node, attr, len(ds.class_domain), 1)
-                assert [t for t, _g, _r in cands] == split_candidates(ds, attr)
-                for threshold, gain, ratio in cands:
-                    assert gain == pytest.approx(
-                        info_gain(ds, attr, threshold), abs=1e-9)
-                    assert ratio == pytest.approx(
-                        gain_ratio(ds, attr, threshold), abs=1e-9)
-                    checked += 1
+                for cands in kernel_candidates(ds, attr, 1):
+                    assert [t for t, _g, _r in cands] == split_candidates(ds, attr)
+                    for threshold, gain, ratio in cands:
+                        assert gain == pytest.approx(
+                            info_gain(ds, attr, threshold), abs=1e-9)
+                        assert ratio == pytest.approx(
+                            gain_ratio(ds, attr, threshold), abs=1e-9)
+                        checked += 1
         assert checked > 500
 
 
@@ -203,6 +215,42 @@ class TestTrainParams:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TrainParams(**kwargs)
+
+    @pytest.mark.parametrize("algorithm, name, bad", [
+        ("randomsubset", "seed", "x"),
+        ("randomsubset", "seed", 2.0),
+        ("randomsubset", "seed", True),
+        ("gainratio", "seed", np.True_),
+        ("gainratio", "min_leaf", 1.5),
+        ("randomsubset", "k", 1.0),
+        ("reducederror", "prune_folds", 2.5),
+        ("gainratio", "prune", 1),
+        ("gainratio", "confidence_factor", "0.3"),
+    ])
+    def test_field_types(self, algorithm, name, bad):
+        # Each of these used to train, and then either crash with a
+        # TypeError or save a params line that load_model rejects.
+        with pytest.raises(ValueError, match=name):
+            TrainParams(algorithm, **{name: bad})
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(algorithm="gainratio", min_leaf=np.int64(1),
+             confidence_factor=np.float64(0.3), prune=np.True_,
+             seed=np.int32(4)),
+        dict(algorithm="randomsubset", k=np.int64(3), seed=np.uint8(7)),
+        dict(algorithm="reducederror", min_leaf=np.int16(1),
+             prune_folds=np.int64(4), seed=np.int64(2)),
+    ])
+    def test_numpy_values_are_stored_as_python_ones(self, kwargs):
+        params = TrainParams(**kwargs)
+        for name in ("min_leaf", "k", "prune_folds", "seed"):
+            assert type(getattr(params, name)) in (int, type(None))
+        assert type(params.prune) is bool
+        assert type(params.confidence_factor) is float
+        blob = save_model(train(_jun_dataset(), params))
+        loaded = load_model(blob)
+        assert loaded.params == params
+        assert save_model(loaded) == blob
 
 
 def _jun_dataset():
