@@ -12,6 +12,7 @@ Pure Python, so croptree needs no scipy.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Tuple
 
 _EPS = 2.0 ** -52
@@ -27,6 +28,8 @@ _NORMAL_LIMIT = 1e9
 #: A bound on continued-fraction terms, far above the 1,300 or so that
 #: min(a, b) = 1e9 takes near the mean.
 _MAX_TERMS = 20000
+#: The smallest normal double; below it a float holds fewer than 53 bits.
+_MIN_NORMAL = sys.float_info.min
 
 
 def _binet(z: float) -> float:
@@ -108,13 +111,14 @@ def _bfrac(a: float, b: float, x: float, lam: float) -> float:
 
 
 def _ibeta_parts(a: float, b: float, x: float, scale):
-    """(I_x(a, b), 1 - I_x(a, b), x^a (1-x)^b / B(a, b)); ``scale`` is
-    ``_beta_scale(a, b)``.  The smaller of the first two is the one
-    computed, so it keeps its relative accuracy."""
+    """(I_x(a, b), 1 - I_x(a, b), log(x^a (1-x)^b / B(a, b)), log of the
+    smaller of the first two); ``scale`` is ``_beta_scale(a, b)``.  The
+    smaller tail is the one computed, so it keeps its relative accuracy,
+    and its log keeps it where the tail itself underflows."""
     if x <= 0.0:
-        return 0.0, 1.0, 0.0
+        return 0.0, 1.0, -math.inf, -math.inf
     if x >= 1.0:
-        return 1.0, 0.0, 0.0
+        return 1.0, 0.0, -math.inf, -math.inf
     c, r, log_scale = scale
     # x^a (1-x)^b / B(a, b) = exp(log_scale - bd0(a, cx) - bd0(b, cy)) with
     # cx + cy = c, where the deviance terms stay small near the mean instead
@@ -132,15 +136,18 @@ def _ibeta_parts(a: float, b: float, x: float, scale):
         cx = a - r + diff_b
         diff_a = r - diff_b
     if cx <= 0.0 or cy <= 0.0:
-        power = 0.0
+        log_power = -math.inf
     else:
-        power = math.exp(log_scale - _bd0(a, cx, diff_a) - _bd0(b, cy, diff_b))
+        log_power = log_scale - _bd0(a, cx, diff_a) - _bd0(b, cy, diff_b)
+    power = math.exp(log_power)
     lam = diff_a - r * x  # a - (a + b) x
     if lam >= 0.0:
-        p = power / _bfrac(a, b, x, lam)
-        return p, 1.0 - p, power
-    q = power / _bfrac(b, a, 1.0 - x, -lam)
-    return 1.0 - q, q, power
+        f = _bfrac(a, b, x, lam)
+        p = power / f
+        return p, 1.0 - p, log_power, log_power - math.log(f)
+    f = _bfrac(b, a, 1.0 - x, -lam)
+    q = power / f
+    return 1.0 - q, q, log_power, log_power - math.log(f)
 
 
 def _ibeta(a: float, b: float, x: float) -> Tuple[float, float]:
@@ -152,7 +159,7 @@ def _ibeta(a: float, b: float, x: float) -> Tuple[float, float]:
     b = 1/2, the Student t tail's parameters; for min(a, b) up to
     _NORMAL_LIMIT (the continued fraction needs ever more terms beyond).
     """
-    p, q, _power = _ibeta_parts(a, b, x, _beta_scale(a, b))
+    p, q, _log_power, _log_small = _ibeta_parts(a, b, x, _beta_scale(a, b))
     return p, q
 
 
@@ -201,21 +208,37 @@ def _halley(a: float, b: float, p: float, q: float, x: float,
     scale = _beta_scale(a, b)
     # tail = I_x(a, b) rises with x, tail = 1 - I_x(a, b) falls
     target, sign = (p, 1.0) if p < q else (q, -1.0)
+    # A subnormal target, and the tails near it, hold too few bits to be
+    # compared or divided: below the normal range the search uses logs.
+    log_target = math.log(target) if target < _MIN_NORMAL else None
     lo, hi = 0.0, 1.0
     for _ in range(200):
-        ip, iq, power = _ibeta_parts(a, b, x, scale)
+        ip, iq, log_power, log_small = _ibeta_parts(a, b, x, scale)
         tail = ip if sign > 0.0 else iq
-        if (tail - target) * sign < 0.0:
+        if log_target is None:
+            power = math.exp(log_power)
+            below = (tail - target) * sign < 0.0
+            usable = power > 0.0 and tail > 0.0
+        else:
+            # Only the tail computed, the smaller, can be below normal.
+            log_tail = math.log(tail) if tail >= _MIN_NORMAL else log_small
+            below = (log_tail - log_target) * sign < 0.0
+            usable = log_power > -math.inf
+        if below:
             lo = x
         else:
             hi = x
             if hi <= floor:
                 return hi
         y = 1.0 - x
-        if power > 0.0 and tail > 0.0 and y > 0.0:
+        if usable and y > 0.0:
             # g = log(tail / target): g / g' and the Halley factor g'' / g'
-            ratio = tail / power * (x * y)  # tail / density
-            step = sign * math.log(tail / target) * ratio
+            if log_target is None:
+                g, ratio = math.log(tail / target), tail / power
+            else:
+                g, ratio = log_tail - log_target, math.exp(log_tail - log_power)
+            ratio *= x * y  # tail / density
+            step = sign * g * ratio
             u = step * ((a - 1.0) / x - (b - 1.0) / y - sign / ratio)
             if abs(u) < 1.0:
                 step /= 1.0 - 0.5 * u

@@ -170,7 +170,8 @@ def _csv_blocks(header: str, lines: Iterable[str]) -> Iterator[str]:
 
 def _read_table(path: str) -> RainfallTable:
     """The rainfall file at ``path``, raw or labeled; callers name the file.
-    Parsing the open file frees its bytes once they are decoded."""
+    The open file is read in blocks, and neither its bytes nor its text
+    are held whole."""
     with open(path, "rb") as fh:
         return parse_table(fh)
 

@@ -46,6 +46,7 @@ MONTH_NAMES = ("jan", "feb", "mar", "apr", "may", "jun",
 #: E subtypes collapse into the single trailing "E" entry.
 CLASS_DOMAIN = ("A1", "A2", "B1", "B2", "B3", "C1", "C2", "C3", "C4",
                 "D1", "D2", "D3", "D4", "E")
+_DOMAIN_LABELS = {label: label for label in CLASS_DOMAIN}
 
 
 class MonthCategory(Enum):
@@ -109,8 +110,11 @@ class ClimateType:
 
     @property
     def label(self) -> str:
-        """Report/class-domain code; E subtypes collapse to plain 'E'."""
-        return "E" if self.letter == "E" else self.code
+        """Report/class-domain code; E subtypes collapse to plain 'E'.  A
+        code in CLASS_DOMAIN is returned as that very string, so that a
+        column of labels shares 14 strings."""
+        code = "E" if self.letter == "E" else self.code
+        return _DOMAIN_LABELS.get(code, code)
 
     def __str__(self) -> str:
         return self.code

@@ -10,13 +10,17 @@ comments.  A labeled file appends a trailing `climate_class` column.
 
 A file is parsed once into a `RainfallTable`: station, region, year and
 line-number columns, an n×12 float64 matrix with NaN for a missing month,
-and the label column of a labeled file.  Beside the decoded text, the
-table and the stations seen per year for the duplicate check, the parse
-holds one chunk of cells: lines are cut from the text one at a time and
-checked as they come, equal station, region and year values share one
-object, and the rainfall cells of up to `_CHUNK_ROWS` rows are converted
-together with Python's `float` into the matrix, which is allocated once.
-The first error in file order is raised.
+and the label column of a labeled file.  Bytes are read in blocks of
+`_BLOCK_BYTES` through an incremental UTF-8 decoder, twice: the first
+pass checks the whole file and counts its line feeds and commas, which
+size the matrix, so invalid UTF-8 is raised before any parse error; the
+second hands the parse one block of text at a time.  Beside that block,
+the table and the stations seen per year for the duplicate check, the
+parse holds one chunk of cells: lines are checked as they come, equal
+station, region and year values share one object, and the rainfall cells
+of up to `_CHUNK_ROWS` rows are converted together with Python's `float`
+into the matrix, which is allocated once.  The first error in file order
+is raised.
 `parse_rainfall_file`, `parse_labeled_file`, `StationYear` and `Dataset`
 are views built from the table, whose values reach them as Python floats.
 Instance rules (finite features, a positive finite weight) are checked
@@ -25,8 +29,9 @@ width, labels, finite total weight) by `Dataset`, whose derived columns
 are all that training reads, so training never checks an instance again.
 
 Labeling attaches an Oldeman class to every station-year: `label_table`
-labels a table's whole matrix at once (`climate.classify_rows`), and
-`label_records` does the same for a list of records.  Features keep their
+labels a table's matrix `_LABEL_ROWS` rows at a time
+(`climate.classify_rows`), and `label_records` does the same for a list
+of records; the first row that fails is reported.  Features keep their
 missing slots as missing even when the label was computed under the
 zero-fill policy; the tree learners route missing values explicitly.
 The labeling functions alone reject input with nothing to label.
@@ -34,13 +39,17 @@ The labeling functions alone reject input with nothing to label.
 
 from __future__ import annotations
 
+import codecs
+import io
+import itertools
 import math
 import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import IO, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import (IO, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -179,17 +188,72 @@ class Dataset:
         return self.class_domain.index(label)
 
 
-def _read_text(source: Union[str, bytes, IO]) -> str:
-    """The source's text without a leading byte order mark, which Excel's
-    "CSV UTF-8" export writes.  Without one, no copy is made."""
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, (bytes, bytearray)):
+#: Bytes of a file read and decoded at a time.  The parse holds one
+#: block of the file's bytes and text, never all of either.
+_BLOCK_BYTES = 1 << 20
+
+
+def _utf8_error(exc: UnicodeDecodeError, start: int) -> DataError:
+    """DataError for a decoder's ``exc`` on input that began ``start``
+    bytes into the file, with the text bytes.decode gives for the file."""
+    if exc.end - exc.start == 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start + exc.start}"
+    else:
+        where = f"bytes in position {start + exc.start}-{start + exc.end - 1}"
+    return DataError(f"input is not valid UTF-8: '{exc.encoding}' codec "
+                     f"can't decode {where}: {exc.reason}")
+
+
+def _decoded(blocks: Iterable) -> Iterator[Tuple[bytes, str]]:
+    """(block, its text) of consecutive nonempty UTF-8 byte blocks, then
+    (b"", ""); a character split between blocks is the later one's text.
+    DataError for the first invalid or unfinished sequence."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    fed = start = 0  # bytes given to the decoder; offset of those it holds
+    for block in itertools.chain(blocks, [b""]):
         try:
-            source = source.decode("utf-8")
+            text = decoder.decode(block, final=not block)
         except UnicodeDecodeError as exc:
-            raise DataError(f"input is not valid UTF-8: {exc}") from None
-    return source.removeprefix("\ufeff")
+            raise _utf8_error(exc, start) from None
+        fed += len(block)
+        start = fed - len(decoder.getstate()[0])
+        yield block, text
+
+
+def _read(source: Union[str, bytes, IO]) -> Tuple[int, int, Iterator[str]]:
+    """(line feeds, commas, text blocks) of the source's text.
+
+    A str is one block.  Bytes, through a memoryview, and a binary stream
+    that can seek are read twice in blocks of _BLOCK_BYTES: the first pass
+    counts the raw bytes and decodes them, keeping no text, so invalid
+    UTF-8 raises DataError before any line is parsed; the second decodes
+    again as the blocks are taken.  Any other stream is read whole first.
+    """
+    if hasattr(source, "read") and not (
+            isinstance(source, (io.RawIOBase, io.BufferedIOBase)) and source.seekable()):
+        source = source.read()
+    if isinstance(source, str):
+        return source.count("\n"), source.count(","), iter([source])
+    if hasattr(source, "read"):
+        first = source.tell()
+
+        def blocks():
+            source.seek(first)
+            while block := source.read(_BLOCK_BYTES):
+                yield block
+    else:
+        view = memoryview(source)
+
+        def blocks():
+            for start in range(0, len(view), _BLOCK_BYTES):
+                yield view[start:start + _BLOCK_BYTES]
+    line_feeds = commas = 0
+    for block, _text in _decoded(blocks()):
+        # Neither byte occurs inside a multi-byte UTF-8 character.
+        codes = np.frombuffer(block, dtype=np.uint8)
+        line_feeds += int(np.count_nonzero(codes == ord("\n")))
+        commas += int(np.count_nonzero(codes == ord(",")))
+    return line_feeds, commas, (text for _block, text in _decoded(blocks()))
 
 
 #: Rows whose rainfall cells are converted together.  It bounds the cell
@@ -274,20 +338,32 @@ def _fill_rainfall(out: np.ndarray, first_row: int, cells: List[str],
     out[first_row:first_row + len(block) // 12] = block.reshape(-1, 12)
 
 
-def _content_lines(text: str):
+def _content_lines(blocks: Iterable[str]):
     """(line number, line without its CR) of each non-blank, non-comment
-    line.  Lines are cut from the text one at a time, never all at once."""
-    lineno, start, end = 0, 0, len(text)
-    while start < end:
-        stop = text.find("\n", start)
-        if stop < 0:
-            stop = end
-        lineno += 1
-        line = text[start:stop].rstrip("\r")
-        start = stop + 1
-        head = line.lstrip()
-        if head and head[0] != "#":
-            yield lineno, line
+    line of the text that ``blocks`` hold in order, without a leading
+    byte order mark, which Excel's "CSV UTF-8" export writes.  Lines are
+    cut from one block at a time; the start of a line that a block ends
+    with is carried into the next."""
+    lineno, head = 0, []  # the pieces of a line begun in earlier blocks
+    # A line feed after the last block ends a last line that has none; a
+    # blank line after one that has is not yielded.
+    for text in itertools.chain(blocks, ["\n"]):
+        start = 0
+        while (stop := text.find("\n", start)) >= 0:
+            line = text[start:stop]
+            if head:
+                head.append(line)
+                line, head = "".join(head), []
+            start = stop + 1
+            lineno += 1
+            if lineno == 1:
+                line = line.removeprefix("\ufeff")
+            line = line.rstrip("\r")
+            stripped = line.lstrip()
+            if stripped and stripped[0] != "#":
+                yield lineno, line
+        if start < len(text):
+            head.append(text[start:])
 
 
 def _row_key(fields: List[str], n_fields: int, lineno: int,
@@ -322,12 +398,15 @@ def _row_key(fields: List[str], n_fields: int, lineno: int,
     return station, shared.setdefault(region, region), year
 
 
-def _parse_table(text: str, labeled: Optional[bool] = None) -> RainfallTable:
+def _parse_table(source: Union[str, bytes, IO],
+                 labeled: Optional[bool] = None) -> RainfallTable:
     """The file's rows, checked line by line and converted a chunk at a
     time; raw or labeled as ``labeled`` says, or as the header says when
-    it is None.  The first error in file order is raised; within a line
-    the order is fields, station, year, duplicate, cells by month, label."""
-    lines = _content_lines(text)
+    it is None.  Invalid UTF-8 anywhere is raised first, then the first
+    error in file order; within a line the order is fields, station,
+    year, duplicate, cells by month, label."""
+    line_feeds, commas, blocks = _read(source)
+    lines = _content_lines(blocks)
     lineno, header = next(lines, (0, None))
     if header is None:
         raise DataError("missing header line")
@@ -340,7 +419,7 @@ def _parse_table(text: str, labeled: Optional[bool] = None) -> RainfallTable:
             f"line {lineno}: malformed header, expected {expected!r}")
     # Each row follows a line feed and holds at least the header's 14
     # commas, which bounds the rows and sizes the matrix once.
-    rainfall = np.empty((min(text.count("\n"), text.count(",") // 14 - 1), 12))
+    rainfall = np.empty((min(line_feeds, commas // 14 - 1), 12))
     stations: List[str] = []
     regions: List[str] = []
     years: List[int] = []
@@ -381,23 +460,24 @@ def _parse_table(text: str, labeled: Optional[bool] = None) -> RainfallTable:
 
 def parse_table(source: Union[str, bytes, IO]) -> RainfallTable:
     """Parse a rainfall file, raw or labeled (its header says which)."""
-    return _parse_table(_read_text(source))
+    return _parse_table(source)
 
 
 def parse_rainfall_file(source: Union[str, bytes, IO]) -> List[StationYear]:
     """Parse a raw rainfall file into StationYear records."""
-    return _parse_table(_read_text(source), labeled=False).records()
+    return _parse_table(source, labeled=False).records()
 
 
 def parse_labeled_file(source: Union[str, bytes, IO]) -> List[Tuple[StationYear, str]]:
     """Parse a rainfall file carrying a trailing climate_class column."""
-    table = _parse_table(_read_text(source), labeled=True)
+    table = _parse_table(source, labeled=True)
     return list(zip(table.records(), table.labels))
 
 
 def sniff_labeled(source: Union[str, bytes, IO]) -> bool:
     """True when the first content line is the labeled-file header."""
-    _lineno, header = next(_content_lines(_read_text(source)), (0, ""))
+    _line_feeds, _commas, blocks = _read(source)
+    _lineno, header = next(_content_lines(blocks), (0, ""))
     return header.strip() == LABELED_HEADER
 
 
@@ -432,20 +512,39 @@ def write_rainfall_file(records: Iterable[StationYear]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _label_rows(rainfall: np.ndarray, missing: np.ndarray, policy: MissingPolicy,
-                stations: Sequence[str], years: Sequence[int]):
-    """(kept row indices, their ClimateTypes); errors name the station."""
+#: Rows classified together.  It bounds classify_rows' copy of the
+#: rainfall and its masks, about 200 bytes a row, to one block of rows.
+_LABEL_ROWS = 4096
+
+
+def _label_rows(rainfall: np.ndarray, missing: Optional[np.ndarray],
+                policy: MissingPolicy, stations: Sequence[str],
+                years: Sequence[int]):
+    """(kept row indices, their ClimateTypes); errors name the station.
+
+    ``missing`` marks the missing months, or is None when NaN marks
+    them.  Blocks of _LABEL_ROWS rows are classified in file order, so
+    the first row that fails is the one reported.
+    """
     if not stations:
         raise DataError("no station records to label")
-    try:
-        types = classify_rows(rainfall, missing, policy)
-    except RowError as exc:
-        raise DataError(f"station {stations[exc.row]!r} year "
-                        f"{years[exc.row]}: {exc}") from None
-    rows = [i for i, climate in enumerate(types) if climate is not None]
+    rows: List[int] = []
+    types: List[ClimateType] = []
+    for first in range(0, len(rainfall), _LABEL_ROWS):
+        block = rainfall[first:first + _LABEL_ROWS]
+        try:
+            found = classify_rows(block, np.isnan(block) if missing is None
+                                  else missing[first:first + _LABEL_ROWS], policy)
+        except RowError as exc:
+            row = first + exc.row
+            raise DataError(f"station {stations[row]!r} year "
+                            f"{years[row]}: {exc}") from None
+        # None marks a row the policy skips; every ClimateType is true.
+        rows += itertools.compress(range(first, first + len(found)), found)
+        types += filter(None, found)
     if not rows:
         raise DataError("all stations were skipped by the missing-data policy")
-    return rows, [types[i] for i in rows]
+    return rows, types
 
 
 def label_table(
@@ -454,8 +553,7 @@ def label_table(
 ) -> Tuple[List[int], List[ClimateType]]:
     """(row indices, Oldeman types) of the rows the policy keeps, in file
     order.  Raises DataError as label_records does."""
-    return _label_rows(table.rainfall, np.isnan(table.rainfall), policy,
-                       table.stations, table.years)
+    return _label_rows(table.rainfall, None, policy, table.stations, table.years)
 
 
 def label_records(

@@ -168,6 +168,14 @@ def test_e_subtypes_share_one_pattern():
         assert cropping_pattern(ClimateType("E", subtype)).display == "1 PL"
 
 
+def test_labels_are_the_class_domain_strings():
+    assert ClimateType("B", 2).label is CLASS_DOMAIN[CLASS_DOMAIN.index("B2")]
+    for subtype in range(1, 5):
+        assert ClimateType("E", subtype).label is CLASS_DOMAIN[CLASS_DOMAIN.index("E")]
+    # No Oldeman run pair gives A3, A4 or B4; such a type keeps its code.
+    assert ClimateType("A", 3).label == "A3"
+
+
 def test_pattern_for_unknown_label():
     with pytest.raises(ValueError):
         pattern_for_label("F1")

@@ -565,13 +565,21 @@ def _outcome(text, labeled, policy):
     return result
 
 
-def _table_outcome(text, policy):
+def _table_parse(source):
+    """(table, its rows and labels) of parse_table, or (None, the
+    DataError's text)."""
     try:
-        table = parse_table(text)
+        table = parse_table(source)
     except DataError as exc:
-        return ("error", str(exc)), None
-    parsed = (list(zip(table.stations, table.regions, table.years,
-                       table.features())), table.labels)
+        return None, ("error", str(exc))
+    return table, (list(zip(table.stations, table.regions, table.years,
+                            table.features())), table.labels)
+
+
+def _table_outcome(text, policy):
+    table, parsed = _table_parse(text)
+    if table is None:
+        return parsed, None
     try:
         rows, types = label_table(table, policy)
         coded = [(i, climate.code) for i, climate in zip(rows, types)]
@@ -594,10 +602,29 @@ def _reference_outcome(text, labeled, policy):
     return (records, labels), coded
 
 
+def _assert_blocks_read_as_decode(data, sources=(bytes, io.BytesIO)):
+    """``data`` read in blocks of 1, 2, 7 and _BLOCK_BYTES bytes, through
+    each of ``sources``, parses as its decoded text does, or fails with
+    the text of bytes.decode's error."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        table, parsed = None, ("error", f"input is not valid UTF-8: {exc}")
+    else:
+        table, parsed = _table_parse(text)
+    for size in (1, 2, 7, dataset_module._BLOCK_BYTES):
+        with mock.patch.object(dataset_module, "_BLOCK_BYTES", size):
+            for source in sources:
+                read, read_parsed = _table_parse(source(data))
+                assert read_parsed == parsed, (size, source)
+                assert table is None or read.lines == table.lines, (size, source)
+
+
 def _assert_parses_as_the_reference(text, labeled):
     for policy in reference_parser.POLICIES:
         assert _outcome(text, labeled, policy) == _reference_outcome(
             text, labeled, policy), policy
+    _assert_blocks_read_as_decode(text.encode(), sources=(io.BytesIO,))
 
 
 @settings(max_examples=300, deadline=None)
@@ -671,6 +698,109 @@ def test_files_longer_than_a_chunk_match_the_reference(labeled):
     with pytest.raises(DataError, match=f"line {at + 1}: negative"):
         (parse_labeled_file if labeled else parse_rainfall_file)(text)
     _assert_parses_as_the_reference(text, labeled)
+
+
+@pytest.mark.parametrize("text", [
+    HEADER + "\r\nX,R,2013," + _ROW + "\r\nY,R,2013," + _ROW + "\r\n",
+    # characters of two, three and four bytes
+    HEADER + "\nBañten–Cengkareng,Bañten,2013," + _ROW + "\n🌧,R,2013," + _ROW,
+    "\ufeff" + HEADER + "\nX,R,2013," + _ROW + "\n",
+    "\ufeff# a comment\nX,R,2013\n",
+])
+def test_blocks_split_lines_and_characters_as_decoding_does(text):
+    # Blocks of 1, 2 and 7 bytes split a CRLF, a multi-byte character and
+    # the byte order mark (three 1-byte blocks), and every line is longer
+    # than such a block.
+    _assert_blocks_read_as_decode(text.encode())
+
+
+@pytest.mark.parametrize("data", [
+    # after a line with a parse error, and one with a field count error
+    (HEADER + "\nX,R,20x3," + _ROW + "\nY,R,2013,1,2\n").encode()
+    + b"Z\xff,R,2013," + _ROW.encode(),
+    # a three-byte character cut short at the end of the file
+    (HEADER + "\nX,R,2013," + _ROW + "\n").encode() + "–".encode()[:2],
+    # a four-byte character whose last byte does not continue it
+    (HEADER + "\n").encode() + "🌧".encode()[:3] + b"X,R,2013," + _ROW.encode(),
+    b"\xef\xbb\xbf\xfe" + HEADER.encode(),
+])
+def test_invalid_utf8_is_raised_first_with_bytes_decode_text(data):
+    _assert_blocks_read_as_decode(data)
+    with pytest.raises(UnicodeDecodeError) as info:
+        data.decode("utf-8")
+    expected = f"input is not valid UTF-8: {info.value}"
+    for size in (1, 7):
+        with mock.patch.object(dataset_module, "_BLOCK_BYTES", size):
+            for read in (parse_rainfall_file, parse_labeled_file, sniff_labeled):
+                with pytest.raises(DataError) as raised:
+                    read(io.BytesIO(data))
+                assert str(raised.value) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_block_reader_matches_bytes_decode(data):
+    """A file with multi-byte characters, some of its bytes replaced by
+    any others: parsed from blocks as its decoded text is, or rejected
+    with the text of bytes.decode's error."""
+    raw = bytearray((HEADER + "\nBañten–Cengkareng,Bañten,2013," + _ROW
+                     + "\n🌧,R,2013," + _ROW + "\r\n").encode())
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(raw)))
+        raw[at:at + data.draw(st.integers(0, 3))] = data.draw(st.binary(max_size=3))
+    _assert_blocks_read_as_decode(bytes(raw))
+
+
+class _Unseekable(io.RawIOBase):
+    def __init__(self, data):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self._data.readinto(buffer)
+
+
+def test_streams_are_read_from_where_they_stand():
+    data = SAMPLE.encode()
+    ahead = io.BytesIO(b"#\xff\n" + data)
+    ahead.read(3)
+    for source in (_Unseekable(data), io.BufferedReader(_Unseekable(data)), ahead):
+        assert parse_table(source).records() == parse_rainfall_file(SAMPLE)
+
+
+@pytest.mark.parametrize("policy", list(MissingPolicy))
+def test_label_blocks_report_the_first_failing_row(policy):
+    # Two rows a block: C, missing June, and D, -5 mm in February, share
+    # the second block, and E, inf in January, is the third.  The error
+    # policy fails on C; the others pass C and fail on D, not on E's
+    # earlier month.
+    wet = (250.0,) * 12
+    rainfall = [wet, wet, wet[:5] + (None,) + wet[6:], wet[:1] + (-5.0,) + wet[2:],
+                (math.inf,) + wet[1:]]
+    records = [StationYear(station, "R", 2013, rain)
+               for station, rain in zip("ABCDE", rainfall)]
+    table = dataset_module.RainfallTable(
+        list("ABCDE"), ["R"] * 5, [2013] * 5, list(range(2, 7)),
+        np.array([[math.nan if v is None else v for v in rain] for rain in rainfall]))
+    expected = ("station 'C' year 2013: missing rainfall for jun"
+                if policy is MissingPolicy.ERROR else
+                "station 'D' year 2013: feb: rainfall must be nonnegative, got -5.0")
+    with mock.patch.object(dataset_module, "_LABEL_ROWS", 2):
+        for label in (lambda: label_records(records, policy),
+                      lambda: label_table(table, policy)):
+            with pytest.raises(DataError) as raised:
+                label()
+            assert str(raised.value) == expected
+    if policy is not MissingPolicy.ERROR:
+        # Without D and E, the kept rows are indexed across blocks.
+        head = dataset_module.RainfallTable(list("ABC"), ["R"] * 3, [2013] * 3,
+                                            [2, 3, 4], table.rainfall[:3])
+        with mock.patch.object(dataset_module, "_LABEL_ROWS", 2):
+            rows, types = label_table(head, policy)
+        assert (rows, types) == label_table(head, policy)
+        assert rows == ([0, 1] if policy is MissingPolicy.SKIP_STATION else [0, 1, 2])
 
 
 def test_parsed_values_are_python_floats():

@@ -630,6 +630,18 @@ class TestPruning:
         for e in (e1, e2):
             assert est[e, high] * slack <= est[e, low]
 
+    def test_estimate_under_a_subnormal_confidence_factor(self):
+        # 5e-324 holds one bit, so a root search on the tail itself stops
+        # wherever the tail rounds to it: 744.4068 for 0.0031 errors, below
+        # the 744.4401 for none.  The values are n times the upper-CF
+        # quantile of Gamma(e + 1), the Beta's limit at b = 1e217, to 40
+        # digits with mpmath.
+        none = _estimate(1e217, 0.0, 5e-324)
+        some = _estimate(1e217, 0.0031, 5e-324)
+        assert none == pytest.approx(744.44007192138126, rel=1e-14)
+        assert some == pytest.approx(744.46235680955159, rel=1e-14)
+        assert none < some
+
     def test_estimate_exceeds_observed_errors(self):
         rng = random.Random(23)
         for _ in range(100):
