@@ -1,8 +1,12 @@
 """Command-line surface: oldeman, train, compare, recommend.
 
-Exit codes: 0 success, 1 usage or parameter errors, 2 data errors.
-Commands that write files do so atomically; a failing run leaves no
-partial output behind.
+Exit codes: 0 success, 1 usage or parameter errors, 2 data errors.  A
+reader that closes stdout early (``| head``) ends the command with exit
+1 and nothing on stderr.  Commands that write files do so atomically; a
+failing run leaves no partial output behind.  A new output file gets
+mode 0666 less the umask, and a rewritten one keeps its permission bits.
+``recommend`` prints its holdout accuracy on stdout when it writes its
+CSV to a file, and on stderr when the CSV goes to stdout.
 """
 
 from __future__ import annotations
@@ -125,10 +129,22 @@ def _naming(path: str, verb: str = "read"):
         raise DataError(f"cannot {verb} {path}: {exc.strerror or exc}") from None
 
 
+def _output_mode(path: str) -> int:
+    """The permission bits of the file at ``path``, or those that ``open``
+    gives a new file: 0666 less the umask."""
+    try:
+        return os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
     """Write ``chunks``, one after another as they come, into a temporary
-    file beside ``path``, which then replaces ``path``.  A failing write
-    leaves ``path`` as it was and removes the temporary file."""
+    file beside ``path``, which then replaces ``path`` with the mode
+    ``_output_mode`` gives.  A failing write leaves ``path`` as it was and
+    removes the temporary file."""
     with _naming(path, "write"):
         directory = os.path.dirname(os.path.abspath(path))
         fd, tmp = tempfile.mkstemp(dir=directory,
@@ -137,6 +153,7 @@ def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
             with os.fdopen(fd, "wb") as fh:
                 for chunk in chunks:
                     fh.write(chunk)
+            os.chmod(tmp, _output_mode(path))
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -304,8 +321,10 @@ def _cmd_recommend(args) -> int:
           args.output)
     if table.labels is not None:
         correct = sum(label == table.labels[i] for i, label in zip(rows, predicted))
+        # Beside a CSV on stdout, the line would be a row no CSV reader wants.
         print(f"holdout accuracy: {100.0 * correct / len(rows):.2f}% "
-              f"({correct}/{len(rows)})")
+              f"({correct}/{len(rows)})",
+              file=sys.stderr if args.output is None else sys.stdout)
     return 0
 
 
@@ -326,7 +345,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # A reader closed stdout early.  Python's flush at exit would raise
+        # again, so stdout goes to devnull (the recipe in ``signal``'s docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

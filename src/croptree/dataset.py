@@ -339,11 +339,11 @@ def _fill_rainfall(out: np.ndarray, first_row: int, cells: List[str],
 
 
 def _content_lines(blocks: Iterable[str]):
-    """(line number, line without its CR) of each non-blank, non-comment
-    line of the text that ``blocks`` hold in order, without a leading
-    byte order mark, which Excel's "CSV UTF-8" export writes.  Lines are
-    cut from one block at a time; the start of a line that a block ends
-    with is carried into the next."""
+    """(line number, line) of each non-blank, non-comment line of the text
+    that ``blocks`` hold in order, without a leading byte order mark, which
+    Excel's "CSV UTF-8" export writes.  Lines are cut from one block at a
+    time; the start of a line that a block ends with is carried into the
+    next."""
     lineno, head = 0, []  # the pieces of a line begun in earlier blocks
     # A line feed after the last block ends a last line that has none; a
     # blank line after one that has is not yielded.
@@ -358,7 +358,6 @@ def _content_lines(blocks: Iterable[str]):
             lineno += 1
             if lineno == 1:
                 line = line.removeprefix("\ufeff")
-            line = line.rstrip("\r")
             stripped = line.lstrip()
             if stripped and stripped[0] != "#":
                 yield lineno, line

@@ -792,17 +792,9 @@ def _train(dataset: Dataset, node, params: TrainParams) -> DecisionTree:
                      _choose_by_gain_ratio)
         if params.prune:
             cf = params.confidence_factor
-            # The bound depends on (weight, errors) alone, and a tree's
-            # leaves and candidate leaves repeat many pairs.
-            bounds = {}
-
-            def estimate(leaf: Leaf, _ctx) -> float:
-                key = (leaf.weight, leaf.errors)
-                if key not in bounds:
-                    bounds[key] = _upper_error_estimate(leaf, cf)
-                return bounds[key]
-            root, _estimate = _prune(root, estimate,
-                                     lambda _node, _ctx: (None, None), None)
+            root, _estimate = _prune(
+                root, lambda leaf, _ctx: _upper_error_estimate(leaf, cf),
+                lambda _node, _ctx: (None, None), None)
     elif params.algorithm == "randomsubset":
         k = params.resolved_k(n_attrs)
         if k > n_attrs:

@@ -7,6 +7,10 @@ import math
 import os
 import pathlib
 import random
+import re
+import stat
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -20,7 +24,7 @@ from croptree import (ALGORITHMS, CLASS_DOMAIN, CroppingPattern, Dataset,
 from croptree.cli import main
 from croptree.dataset import LABELED_HEADER, RAINFALL_HEADER
 from croptree.evaluation import INDICATOR_ROWS
-from support import make_stations, run_bounded
+from support import SRC, make_stations, run_bounded
 
 
 @pytest.fixture()
@@ -465,8 +469,9 @@ class TestRecommend:
         _, rows = _read_csv(out)
         assert [r[0] for r in rows] == ["FULL"]
 
-    def test_labeled_input_reports_holdout_accuracy(self, tmp_path, model_txt,
-                                                    capsys):
+    @pytest.fixture()
+    def gold_csv(self, tmp_path):
+        """Ten station-years with their Oldeman labels."""
         records = make_stations(n=10, seed=5, year=2014)
         lines = [write_rainfall_file(records).splitlines()[0] + ",climate_class"]
         from croptree import classify_oldeman
@@ -475,10 +480,24 @@ class TestRecommend:
             lines.append(row + "," + classify_oldeman(rec.rainfall).label)
         src = tmp_path / "gold.csv"
         src.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        assert main(["recommend", model_txt, str(src),
+        return str(src)
+
+    def test_labeled_input_reports_holdout_accuracy(self, tmp_path, model_txt,
+                                                    gold_csv, capsys):
+        assert main(["recommend", model_txt, gold_csv,
                      "-o", str(tmp_path / "r.csv")]) == 0
         out = capsys.readouterr().out
         assert "holdout accuracy:" in out
+
+    def test_csv_on_stdout_keeps_the_accuracy_off_it(self, model_txt, gold_csv,
+                                                    capsys):
+        assert main(["recommend", model_txt, gold_csv]) == 0
+        captured = capsys.readouterr()
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        assert len(rows) == 11
+        assert all(len(row) == 5 for row in rows)
+        assert re.fullmatch(r"holdout accuracy: \d+\.\d\d% \(\d+/10\)\n",
+                            captured.err)
 
     def test_complete_only_with_every_station_gappy(self, tmp_path, model_txt,
                                                     capsys):
@@ -506,6 +525,18 @@ class TestRecommend:
         crippled = tmp_path / "broken.txt"
         crippled.write_bytes(pathlib.Path(model_txt).read_bytes()[:-10])
         assert main(["recommend", str(crippled), rain_csv]) == 2
+
+    def test_bad_model_number_names_the_file_and_line(self, tmp_path, rain_csv,
+                                                      model_txt, capsys):
+        lines = pathlib.Path(model_txt).read_text(encoding="utf-8").split("\n")
+        # line 7 is the root's "<=" branch, whose threshold becomes text
+        lines[6], found = re.subn(r"^(\S+ <= )[^\s:]+", r"\1abc", lines[6])
+        assert found == 1
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        assert main(["recommend", str(bad), rain_csv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 7: bad threshold 'abc'\n")
 
 
 class _FullDisk:
@@ -567,6 +598,71 @@ class TestStreamedOutput:
         printed = capsys.readouterr().out
         assert printed.encode("utf-8") == out.read_bytes()
         assert printed.count("\n") == 76
+
+
+def _output_argv(command, rain_csv, model_txt, out):
+    """argv of ``command`` writing its file output to ``out``."""
+    return {"oldeman": ["oldeman", rain_csv],
+            "train": ["train", rain_csv, "--algorithm", "gainratio"],
+            "recommend": ["recommend", model_txt, rain_csv],
+            "compare": ["compare", rain_csv, "--resubstitution"],
+            }[command] + ["-o", str(out)]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX permission bits")
+@pytest.mark.parametrize("command", ["oldeman", "train", "recommend", "compare"])
+class TestOutputModes:
+    """An output file gets the mode ``open`` would give it, not the
+    private mode of the temporary file it is written through."""
+
+    @pytest.fixture(autouse=True)
+    def umask_022(self):
+        umask = os.umask(0o022)
+        yield
+        os.umask(umask)
+
+    def test_new_output_is_0666_less_the_umask(self, tmp_path, rain_csv,
+                                               model_txt, capsys, command):
+        out = tmp_path / "out"
+        assert main(_output_argv(command, rain_csv, model_txt, out)) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+    def test_rewritten_output_keeps_its_mode(self, tmp_path, rain_csv,
+                                             model_txt, capsys, command):
+        out = tmp_path / "out"
+        out.write_bytes(b"old\n")
+        out.chmod(0o640)
+        assert main(_output_argv(command, rain_csv, model_txt, out)) == 0
+        assert out.read_bytes() != b"old\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("lines_read", [0, 1])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, model_txt,
+                                                   lines_read):
+    # 20,000 recommendations are far more than a pipe buffer holds, so the
+    # command is still writing when its reader leaves.  A reader that leaves
+    # at once (``| head -n 0``) leaves the header in stdout's buffer.
+    cells = ",".join(["250"] * 12)
+    src = tmp_path / "many.csv"
+    src.write_text(RAINFALL_HEADER + "\n" + "".join(
+        f"S{i},R,2013,{cells}\n" for i in range(20_000)), encoding="utf-8")
+    # Without PYTHONUNBUFFERED stdout keeps a buffer, which the interpreter
+    # flushes once more at exit, as it does for a user.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "croptree.cli", "recommend", model_txt, str(src)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(env, PYTHONPATH=str(SRC)))
+    try:
+        for _ in range(lines_read):
+            assert proc.stdout.readline().startswith(b"station,region,")
+        proc.stdout.close()
+        proc.stdout = None  # communicate() reads stderr alone
+        _out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (1, b"")
 
 
 class TestUsage:

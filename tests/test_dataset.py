@@ -154,6 +154,15 @@ def test_feature_width_must_match_attribute_names(names, width, n):
         Dataset(names, ("X", "Y"), instances)
 
 
+@pytest.mark.parametrize("station, rainfall, message", [
+    pytest.param("", (1.0,) * 12, "station id must be nonempty", id="empty-id"),
+    pytest.param("A", (1.0,) * 11, "rainfall must have 12 slots", id="11-slots"),
+])
+def test_station_year_rejects(station, rainfall, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        StationYear(station, "R", 2013, rainfall)
+
+
 def test_roundtrip_parse_write_parse(stations75):
     with_missing = list(stations75)
     with_missing.append(StationYear("GAPPY", "Banten", 2013,

@@ -267,6 +267,15 @@ class TestEvaluateHoldout:
         with pytest.raises(ValueError):
             evaluate_holdout(model, other)
 
+    def test_attribute_mismatch_and_empty_test_set_rejected(self):
+        model = DecisionTree(Leaf((1.0, 0.0)), ("a0",), ("X", "Y"),
+                             TrainParams("gainratio"))
+        other = Dataset(("a1",), ("X", "Y"), (LabeledInstance((1.0,), "X"),))
+        with pytest.raises(ValueError, match="^model and test attribute lists differ$"):
+            evaluate_holdout(model, other)
+        with pytest.raises(ValueError, match="^test dataset is empty$"):
+            evaluate_holdout(model, Dataset(("a0",), ("X", "Y"), ()))
+
     def test_rmse_bounds_mae_on_real_models(self):
         rng = random.Random(55)
         for _ in range(25):

@@ -228,6 +228,44 @@ class TestLoadErrors:
             load_model(_single_leaf_model(attributes, classes, ": X (1/0)"))
         assert info.value.line_number == line
 
+    _BODY = "a0 <= 1: X (3/1) {X:2,Y:1}\na0 > 1: Y (2/0)\n"
+    _TEXT = ("croptree-model v1\nalgorithm: gainratio\nattributes: a0,a1\n"
+             "classes: X,Y\n"
+             "params: min_leaf=2 confidence_factor=0.25 prune=true seed=1\n"
+             "tree:\n" + _BODY)
+
+    @pytest.mark.parametrize("old, new, line, message", [
+        # numbers: the threshold, a leaf's weight and errors, a class count
+        ("a0 <= 1:", "a0 <= abc:", 7, "bad threshold 'abc'"),
+        ("a0 <= 1:", "a0 <= inf:", 7, "non-finite threshold 'inf'"),
+        ("(3/1)", "(x/1)", 7, "bad leaf weight 'x'"),
+        ("(3/1)", "(3/e)", 7, "bad leaf error count 'e'"),
+        ("{X:2,", "{X:two,", 7, "bad class count 'two'"),
+        # leaves
+        (": X (3/1)", ": X 3/1", 7, "malformed leaf ': X 3/1 {X:2,Y:1}'"),
+        (": X (3/1)", ": Z (3/1)", 7, "unknown class 'Z'"),
+        ("{X:2,", "{X2,", 7, "malformed distribution entry 'X2'"),
+        ("{X:2,Y:1}", "{Y:1,X:2}", 7,
+         "distribution entries must follow class-domain order"),
+        ("{X:2,Y:1}", "{X:4,Y:-1}", 7, "negative class count"),
+        # file structure; "\udcff" stands for the byte 0xff
+        ("X (3/1)", "\udcff (3/1)", 0, "not valid UTF-8: 'utf-8' codec can't "
+         "decode byte 0xff in position 145: invalid start byte"),
+        ("tree:\n", "tree\n", 6, "expected a 'tree:' line"),
+        (_BODY, "", 7, "missing tree body"),
+        # params
+        ("prune=true", "prune=no", 5, "bad params: bad prune flag 'no'"),
+        (" seed=1", "", 5, "expected params min_leaf confidence_factor prune seed"),
+        ("seed=1", "sed=1", 5, "expected param 'seed', got 'sed=1'"),
+    ])
+    def test_message_and_line(self, old, new, line, message):
+        load_model(self._TEXT)
+        blob = self._TEXT.replace(old, new, 1).encode("utf-8", "surrogateescape")
+        with pytest.raises(ModelFormatError) as info:
+            load_model(blob)
+        assert str(info.value) == f"line {line}: {message}"
+        assert info.value.line_number == line
+
     def test_error_carries_line_number(self):
         with pytest.raises(ModelFormatError) as info:
             load_model("croptree-model v1\nnot-a-header\n")
