@@ -246,7 +246,9 @@ def _cmd_oldeman(args) -> int:
         rows, types = label_table(table, MissingPolicy(args.missing_policy))
     patterns = _pattern_texts(args)
     labels = [climate.label for climate in types]
-    regions = [table.regions[i] for i in rows]
+    # Every row kept: the table's own column, not a copy.
+    regions = (table.regions if isinstance(rows, range)
+               else [table.regions[i] for i in rows])
     _emit(_csv_blocks("station,region,year,climate_class,cropping_pattern",
                       (f"{_csv_field(table.stations[i])},{_csv_field(region)},"
                        f'{table.years[i]},{label},"{patterns[label]}"'

@@ -8,19 +8,20 @@ File grammar (UTF-8, comma separated, LF or CRLF line ends):
 Empty rainfall cells are missing values.  Lines starting with '#' are
 comments.  A labeled file appends a trailing `climate_class` column.
 
-A file is parsed once into a `RainfallTable`: station, region, year and
-line-number columns, an n×12 float64 matrix with NaN for a missing month,
-and the label column of a labeled file.  Bytes are read in blocks of
-`_BLOCK_BYTES` through an incremental UTF-8 decoder, twice: the first
-pass checks the whole file and counts its line feeds and commas, which
-size the matrix, so invalid UTF-8 is raised before any parse error; the
-second hands the parse one block of text at a time.  Beside that block,
-the table and the stations seen per year for the duplicate check, the
-parse holds one chunk of cells: lines are checked as they come, equal
-station, region and year values share one object, and the rainfall cells
-of up to `_CHUNK_ROWS` rows are converted together with Python's `float`
-into the matrix, which is allocated once.  The first error in file order
-is raised.
+A file is parsed once into a `RainfallTable`: station, region and year
+columns, line numbers as 8-byte integers, an n×12 float64 matrix with
+NaN for a missing month, and the label column of a labeled file.  Bytes
+are read in blocks of `_BLOCK_BYTES` through an incremental UTF-8
+decoder, twice: the first pass checks the whole file and counts its line
+feeds and commas, which size the matrix, so invalid UTF-8 is raised
+before any parse error; the second hands the parse one block of text at
+a time.  Beside that block, the table and the stations seen in each year,
+the parse holds one chunk of cells: lines are checked as they come,
+equal station, region and year values share one object, and the rainfall
+cells of up to `_CHUNK_ROWS` rows are converted together with Python's
+`float` into the matrix, which is allocated once.  The first error in
+file order is raised; a duplicate station-year finds the line it was
+first seen on by scanning the rows parsed before it.
 `parse_rainfall_file`, `parse_labeled_file`, `StationYear` and `Dataset`
 are views built from the table, whose values reach them as Python floats.
 Instance rules (finite features, a positive finite weight) are checked
@@ -31,10 +32,12 @@ are all that training reads, so training never checks an instance again.
 Labeling attaches an Oldeman class to every station-year: `label_table`
 labels a table's matrix `_LABEL_ROWS` rows at a time
 (`climate.classify_rows`), and `label_records` does the same for a list
-of records; the first row that fails is reported.  Features keep their
-missing slots as missing even when the label was computed under the
-zero-fill policy; the tree learners route missing values explicitly.
-The labeling functions alone reject input with nothing to label.
+of records; the first row that fails is reported.  The kept rows are a
+`range` until the policy skips one, and a list of indices after.
+Features keep their missing slots as missing even when the label was
+computed under the zero-fill policy; the tree learners route missing
+values explicitly.  The labeling functions alone reject input with
+nothing to label.
 """
 
 from __future__ import annotations
@@ -269,13 +272,16 @@ class RainfallTable:
     ``rainfall`` is an n×12 float64 matrix with NaN for a missing month;
     every other value is finite and nonnegative.  ``lines`` holds each
     row's line number in the file, and ``labels`` the climate_class
-    column of a labeled file (None for a raw one).
+    column of a labeled file (None for a raw one).  A parsed table's
+    ``lines`` is a read-only memoryview of 8-byte integers, which holds no
+    int object a row; like a list, it gives Python ints and compares by
+    value with ``==``.
     """
 
     stations: List[str]
     regions: List[str]
     years: List[int]
-    lines: List[int]
+    lines: Sequence[int]
     rainfall: np.ndarray
     labels: Optional[List[str]] = None
 
@@ -305,7 +311,7 @@ def _cell_values(cells: List[str]) -> List[float]:
 
 
 def _fill_rainfall(out: np.ndarray, first_row: int, cells: List[str],
-                   lines: List[int], stations: List[str]) -> None:
+                   lines: Sequence[int], stations: List[str]) -> None:
     """Write the rainfall of the rows whose month cells ``cells`` holds, 12
     a row, into ``out`` from row ``first_row`` on, NaN for an empty cell.
 
@@ -365,13 +371,10 @@ def _content_lines(blocks: Iterable[str]):
             head.append(text[start:])
 
 
-def _row_key(fields: List[str], n_fields: int, lineno: int,
-             seen: Dict[int, Dict[str, int]], shared: dict):
+def _row_key(fields: List[str], n_fields: int, lineno: int, shared: dict):
     """(station, region, year) of one line's fields, each the first equal
-    object met in the file (``shared``).  ``seen`` maps year to station to
-    line number: a file has few years, and often one year per station.
-    DataError for, in this order, the field count, the station, the year
-    or a station-year seen on an earlier line."""
+    object met in the file (``shared``).  DataError for, in this order,
+    the field count, the station or the year."""
     if len(fields) != n_fields:
         raise DataError(
             f"line {lineno}: expected {n_fields} fields, got {len(fields)}")
@@ -383,18 +386,20 @@ def _row_key(fields: List[str], n_fields: int, lineno: int,
     except ValueError:
         raise DataError(
             f"line {lineno}: non-integer year {fields[2].strip()!r}") from None
-    station = shared.setdefault(station, station)
-    year = shared.setdefault(year, year)
-    in_year = seen.get(year)
-    if in_year is None:
-        in_year = seen[year] = {}
-    elif station in in_year:
-        raise DataError(
-            f"line {lineno}: duplicate station-year {station!r}/{year} "
-            f"(first seen on line {in_year[station]})")
-    in_year[station] = lineno
     region = fields[1].strip()
-    return station, shared.setdefault(region, region), year
+    return (shared.setdefault(station, station), shared.setdefault(region, region),
+            shared.setdefault(year, year))
+
+
+def _duplicate(lineno: int, station: str, year: int, stations: List[str],
+               years: List[int], lines: Sequence[int]) -> DataError:
+    """DataError for the row on ``lineno`` repeating an earlier row's
+    station-year, which is looked up only now: the parse keeps no line
+    number beside the table's."""
+    first = next(line for s, y, line in zip(stations, years, lines)
+                 if y == year and s == station)
+    return DataError(f"line {lineno}: duplicate station-year {station!r}/{year} "
+                     f"(first seen on line {first})")
 
 
 def _parse_table(source: Union[str, bytes, IO],
@@ -417,14 +422,17 @@ def _parse_table(source: Union[str, bytes, IO],
         raise DataError(
             f"line {lineno}: malformed header, expected {expected!r}")
     # Each row follows a line feed and holds at least the header's 14
-    # commas, which bounds the rows and sizes the matrix once.
+    # commas, which bounds the rows and sizes the matrix and the line
+    # numbers once.
     rainfall = np.empty((min(line_feeds, commas // 14 - 1), 12))
+    linenos = np.empty(len(rainfall), dtype=np.int64)
     stations: List[str] = []
     regions: List[str] = []
     years: List[int] = []
-    linenos: List[int] = []
     labels: Optional[List[str]] = [] if labeled else None
-    seen: Dict[int, Dict[str, int]] = {}
+    # The stations of each year, for duplicates: the keys of a dict, which
+    # stays smaller than a set as it grows (a set quadruples its table).
+    seen: Dict[int, Dict[str, None]] = {}
     shared: dict = {}
     converted = 0  # rows whose cells are in the matrix
     cells: List[str] = []  # month cells of the rows not yet converted
@@ -432,11 +440,18 @@ def _parse_table(source: Union[str, bytes, IO],
     for lineno, line in lines:
         fields = line.split(",")
         try:
-            station, region, year = _row_key(fields, n_fields, lineno, seen, shared)
+            station, region, year = _row_key(fields, n_fields, lineno, shared)
+            # A file has few years, and often one year per station.
+            in_year = seen.get(year)
+            if in_year is None:
+                in_year = seen[year] = {}
+            elif station in in_year:
+                raise _duplicate(lineno, station, year, stations, years, linenos)
+            in_year[station] = None
+            linenos[len(stations)] = lineno
             stations.append(station)
             regions.append(region)
             years.append(year)
-            linenos.append(lineno)
             cells += fields[3:15]
             if labeled:
                 label = fields[15].strip()
@@ -453,7 +468,8 @@ def _parse_table(source: Union[str, bytes, IO],
             converted += _CHUNK_ROWS
             cells = []
     _fill_rainfall(rainfall, converted, cells, linenos, stations)
-    return RainfallTable(stations, regions, years, linenos,
+    linenos.flags.writeable = False
+    return RainfallTable(stations, regions, years, memoryview(linenos[:len(stations)]),
                          rainfall[:len(stations)], labels)
 
 
@@ -521,13 +537,14 @@ def _label_rows(rainfall: np.ndarray, missing: Optional[np.ndarray],
                 years: Sequence[int]):
     """(kept row indices, their ClimateTypes); errors name the station.
 
+    The indices are ``range(n)`` when every row is kept, else a list.
     ``missing`` marks the missing months, or is None when NaN marks
     them.  Blocks of _LABEL_ROWS rows are classified in file order, so
     the first row that fails is the one reported.
     """
     if not stations:
         raise DataError("no station records to label")
-    rows: List[int] = []
+    rows: Optional[List[int]] = None  # None until the policy skips a row
     types: List[ClimateType] = []
     for first in range(0, len(rainfall), _LABEL_ROWS):
         block = rainfall[first:first + _LABEL_ROWS]
@@ -539,19 +556,23 @@ def _label_rows(rainfall: np.ndarray, missing: Optional[np.ndarray],
             raise DataError(f"station {stations[row]!r} year "
                             f"{years[row]}: {exc}") from None
         # None marks a row the policy skips; every ClimateType is true.
-        rows += itertools.compress(range(first, first + len(found)), found)
+        if rows is None and not all(found):
+            rows = list(range(first))
+        if rows is not None:
+            rows += itertools.compress(range(first, first + len(found)), found)
         types += filter(None, found)
-    if not rows:
+    if not types:
         raise DataError("all stations were skipped by the missing-data policy")
-    return rows, types
+    return range(len(types)) if rows is None else rows, types
 
 
 def label_table(
     table: RainfallTable,
     policy: MissingPolicy = MissingPolicy.ZERO_FILL,
-) -> Tuple[List[int], List[ClimateType]]:
+) -> Tuple[Sequence[int], List[ClimateType]]:
     """(row indices, Oldeman types) of the rows the policy keeps, in file
-    order.  Raises DataError as label_records does."""
+    order: ``range(len(table))`` when it keeps them all, else a list.
+    Raises DataError as label_records does."""
     return _label_rows(table.rainfall, None, policy, table.stations, table.years)
 
 

@@ -249,11 +249,18 @@ def load_model(data: Union[bytes, str]) -> DecisionTree:
 
 
 def _param_value(name: str, text: str):
+    """A params field's value; ValueError naming the field and quoting
+    text of the wrong kind, in TrainParams' words."""
     if name == "prune":
         if text not in ("true", "false"):
             raise ValueError(f"bad prune flag {text!r}")
         return text == "true"
-    return float(text) if name == "confidence_factor" else int(text)
+    real = name == "confidence_factor"
+    try:
+        return float(text) if real else int(text)
+    except ValueError:
+        kind = "a real number" if real else "an integer"
+        raise ValueError(f"{name} must be {kind}, got {text!r}") from None
 
 
 def _parse_params(text: str, algorithm: str, lineno: int) -> TrainParams:

@@ -90,16 +90,20 @@ class TestOldeman:
         assert main(["oldeman", str(src), "-o", str(out)]) == 2
         assert out.read_text(encoding="utf-8") == "precious\n"
 
-    def test_missing_policy_skip(self, tmp_path):
-        records = [StationYear("A", "R", 2013, (250.0,) * 12),
-                   StationYear("B", "R", 2013, (250.0,) * 11 + (None,))]
-        src = tmp_path / "two.csv"
+    def test_missing_policy_skip(self, tmp_path, capsys):
+        # B, between A and C, is skipped: the rows and the count table
+        # keep each kept station's own region.
+        records = [StationYear("A", "R1", 2013, (250.0,) * 12),
+                   StationYear("B", "R2", 2013, (250.0,) * 11 + (None,)),
+                   StationYear("C", "R3", 2013, (250.0,) * 12)]
+        src = tmp_path / "three.csv"
         src.write_text(write_rainfall_file(records), encoding="utf-8")
         out = tmp_path / "out.csv"
         assert main(["oldeman", str(src), "-o", str(out),
                      "--missing-policy", "skip"]) == 0
         _, rows = _read_csv(out)
-        assert [r[0] for r in rows] == ["A"]
+        assert [r[:2] for r in rows] == [["A", "R1"], ["C", "R3"]]
+        assert capsys.readouterr().out.splitlines()[0] == "climate_class,R1,R3,total"
 
     @pytest.mark.parametrize("case", ["all-skipped", "labeled"])
     def test_unusable_input_names_the_file(self, tmp_path, capsys, case):

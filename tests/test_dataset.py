@@ -133,7 +133,7 @@ class TestParsing:
         table = parse_table(text)
         assert table.rainfall.shape == (3, 12)
         assert table.rainfall[:, 0].tolist() == [0.0, 1.0, 2.0]
-        assert table.lines == [4, 6, 7]
+        assert list(table.lines) == [4, 6, 7]
 
     def test_labeled_file_rejects_unknown_class(self):
         text = (HEADER + ",climate_class\n"
@@ -675,6 +675,58 @@ def test_first_error_in_file_order_wins(chunk, later, message):
             _assert_parses_as_the_reference(text, labeled=False)
 
 
+@pytest.mark.parametrize("chunk", [2, 4096])
+def test_a_bad_cell_beats_a_duplicate_whose_first_row_is_in_an_earlier_chunk(chunk):
+    # X0's first row is in the first chunk of two rows (of 4096: the same
+    # one); a bad cell and the duplicate, on lines 4 and 5 in either
+    # order, share the second.
+    bad_cell = "X2,R,2013,300,abc," + _ROW.split(",", 2)[2]
+    lines = [HEADER, "X0,R,2013," + _ROW, "X1,R,2013," + _ROW]
+    with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk):
+        for rows, expected in (
+                ([bad_cell, "X0,R,2013," + _ROW],
+                 "line 4: non-numeric rainfall 'abc' for station 'X2' month feb"),
+                (["X0,R,2013," + _ROW, bad_cell],
+                 "line 4: duplicate station-year 'X0'/2013 (first seen on line 2)")):
+            text = "\n".join(lines + rows) + "\n"
+            with pytest.raises(DataError) as raised:
+                parse_rainfall_file(text)
+            assert str(raised.value) == expected
+            _assert_parses_as_the_reference(text, labeled=False)
+
+
+@pytest.mark.parametrize("bad_cell", [False, True])
+def test_a_duplicate_names_a_first_line_chunks_and_blocks_back(bad_cell):
+    # The first X/1999 row is in the first chunk of rows and the first
+    # block of bytes, after X/1998, and its duplicate some 20,000 rows on,
+    # with comment and blank lines between, so rows and line numbers
+    # differ.  A bad cell one line before the duplicate, in its chunk,
+    # comes first.
+    lines = [HEADER, "X,R,1998," + _ROW, "# notes", "", "X,R,1999," + _ROW]
+    for k in range(20_000):
+        lines.append(f"S{k},R,2013," + _ROW)
+        if k % 1000 == 0:
+            lines += ["# a comment, with commas", "   "]
+    if bad_cell:
+        lines.append("Y,R,2013,300,-2," + _ROW.split(",", 2)[2])
+    lines.append("X,R,1999," + _ROW)
+    data = ("\n".join(lines) + "\n").encode()
+    first = data.index(b"X,R,1999")
+    assert first < dataset_module._BLOCK_BYTES < data.rindex(b"X,R,1999")
+    rows_before = sum("," in line for line in lines[1:-1])
+    assert rows_before > 2 * dataset_module._CHUNK_ROWS
+    if bad_cell:
+        expected = (f"line {len(lines) - 1}: negative or non-finite rainfall -2 "
+                    "for station 'Y' month feb")
+    else:
+        expected = (f"line {len(lines)}: duplicate station-year 'X'/1999 "
+                    "(first seen on line 5)")
+    for source in (data, io.BytesIO(data), data.decode()):
+        with pytest.raises(DataError) as raised:
+            parse_table(source)
+        assert str(raised.value) == expected
+
+
 @pytest.mark.parametrize("label, cells, expected", [
     ("Z9", "300,-5,abc", "line 2: negative or non-finite rainfall -5"),
     ("Z9", "300,nan,abc", "line 2: negative or non-finite rainfall nan"),
@@ -809,7 +861,32 @@ def test_label_blocks_report_the_first_failing_row(policy):
         with mock.patch.object(dataset_module, "_LABEL_ROWS", 2):
             rows, types = label_table(head, policy)
         assert (rows, types) == label_table(head, policy)
-        assert rows == ([0, 1] if policy is MissingPolicy.SKIP_STATION else [0, 1, 2])
+        assert list(rows) == ([0, 1] if policy is MissingPolicy.SKIP_STATION
+                              else [0, 1, 2])
+
+
+@pytest.mark.parametrize("policy", [MissingPolicy.ZERO_FILL, MissingPolicy.SKIP_STATION])
+@pytest.mark.parametrize("gap", [None, 0, 1, 2, 4])
+def test_kept_rows_are_a_range_until_a_row_is_skipped(policy, gap):
+    # Two rows a block: the row missing a month (gap) starts the first,
+    # second or third block, or ends the first.
+    rainfall = [[250.0] * 12 for _ in range(5)]
+    if gap is not None:
+        rainfall[gap][3] = math.nan
+    table = dataset_module.RainfallTable(
+        list("ABCDE"), ["R"] * 5, [2013] * 5, list(range(2, 7)), np.array(rainfall))
+    records = table.records()
+    whole = label_table(table, policy)
+    with mock.patch.object(dataset_module, "_LABEL_ROWS", 2):
+        rows, types = label_table(table, policy)
+        pairs = label_records(records, policy)
+    if gap is None or policy is MissingPolicy.ZERO_FILL:
+        assert rows == range(5)
+    else:
+        assert type(rows) is list
+        assert rows == [i for i in range(5) if i != gap]
+    assert (rows, types) == whole
+    assert pairs == [(records[i], climate) for i, climate in zip(rows, types)]
 
 
 def test_parsed_values_are_python_floats():
@@ -832,16 +909,9 @@ def test_parsed_values_are_python_floats():
     assert repr(records[0].rainfall[:2]) == "(3.0, None)"
 
 
-# parse_table's peak allocation beyond the text it is given, in bytes per
-# row, on 20,000 rows in 16 regions with 2% of months missing: 800
-# stations of 25 years, or 20,000 stations of one year.  It measures
-# about 260 and 330: the table (165, or 215 when no two rows share a
-# station), the stations seen per year (about 35) and one chunk of cells
-# (about 60 spread over 20,000 rows).  A parse holding a list of every
-# line, a key object per row or a second copy of the matrix took about
-# 690 on both.
-@pytest.mark.parametrize("n_stations, bound", [(800, 350), (20_000, 420)])
-def test_parse_memory_is_the_table_and_one_chunk(n_stations, bound):
+def _memory_text(n_stations):
+    """20,000 rows in 16 regions with 2% of months missing: n_stations
+    stations of 20,000 / n_stations years each."""
     rng = random.Random(0)
     years = 20_000 // n_stations
     lines = [HEADER]
@@ -850,17 +920,43 @@ def test_parse_memory_is_the_table_and_one_chunk(n_stations, bound):
             cells = ["" if rng.random() < 0.02 else f"{rng.uniform(0, 400):.1f}"
                      for _ in range(12)]
             lines.append(f"S{s:05d},R{s % 16:02d},{1971 + y}," + ",".join(cells))
-    text = "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n"
+
+
+def _traced_parse(text):
+    """(table, bytes traced as it ends, peak bytes) of parse_table."""
     tracemalloc.start()
     try:
         table = parse_table(text)
-        _current, peak = tracemalloc.get_traced_memory()
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return table, current, peak
+
+
+# parse_table's peak allocation beyond the text it is given, in bytes per
+# row, on 20,000 rows: 800 stations of 25 years, or 20,000 stations of
+# one year.  It measures about 230 and 300: the table (133, or 185 when no
+# two rows share a station), the stations seen per year (about 35) and one
+# chunk of cells (about 60 spread over 20,000 rows).  A parse holding a
+# list of every line, a key object per row or a second copy of the matrix
+# took about 690 on both.
+@pytest.mark.parametrize("n_stations, bound", [(800, 350), (20_000, 420)])
+def test_parse_memory_is_the_table_and_one_chunk(n_stations, bound):
+    table, _current, peak = _traced_parse(_memory_text(n_stations))
     assert len(table) == 20_000
     assert peak <= bound * len(table), f"{peak / len(table):.0f} B/row"
     # Equal values share one object.
     assert len({id(v) for v in table.stations}) == n_stations
     assert len({id(v) for v in table.regions}) == 16
-    assert len({id(v) for v in table.years}) == years
+    assert len({id(v) for v in table.years}) == 20_000 // n_stations
     assert table.rainfall.shape == (20_000, 12)
+
+
+def test_parsed_table_holds_no_object_a_row():
+    # What the table keeps of 800 stations of 25 years, per row: 96 bytes
+    # of rainfall, a pointer in each of the three key columns and 8 bytes
+    # of line number, about 133 in all.  A Python int a row for the line
+    # number made it 165.
+    table, kept, _peak = _traced_parse(_memory_text(800))
+    assert kept <= 150 * len(table), f"{kept / len(table):.0f} B/row"

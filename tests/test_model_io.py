@@ -11,6 +11,11 @@ from croptree import (Dataset, LabeledInstance, ModelFormatError, TrainParams,
 from support import random_dataset, random_feature_vector
 
 
+GOLDEN_MODELS = sorted((pathlib.Path(__file__).parent / "golden").glob("*.model"))
+GOLDEN_NAMES = [path.stem for path in GOLDEN_MODELS]
+GOLDEN_TEXTS = [path.read_text(encoding="utf-8") for path in GOLDEN_MODELS]
+
+
 def _model(algorithm="gainratio", seed=1, rng_seed=12):
     ds = random_dataset(random.Random(rng_seed), max_instances=30, n_attrs=4)
     return train(ds, TrainParams(algorithm, seed=seed))
@@ -255,6 +260,10 @@ class TestLoadErrors:
         (_BODY, "", 7, "missing tree body"),
         # params
         ("prune=true", "prune=no", 5, "bad params: bad prune flag 'no'"),
+        ("min_leaf=2", "min_leaf=two", 5,
+         "bad params: min_leaf must be an integer, got 'two'"),
+        ("confidence_factor=0.25", "confidence_factor=x", 5,
+         "bad params: confidence_factor must be a real number, got 'x'"),
         (" seed=1", "", 5, "expected params min_leaf confidence_factor prune seed"),
         ("seed=1", "sed=1", 5, "expected param 'seed', got 'sed=1'"),
     ])
@@ -265,6 +274,24 @@ class TestLoadErrors:
             load_model(blob)
         assert str(info.value) == f"line {line}: {message}"
         assert info.value.line_number == line
+
+    @pytest.mark.parametrize("text", GOLDEN_TEXTS, ids=GOLDEN_NAMES)
+    def test_numeric_param_of_the_wrong_kind_is_named(self, text):
+        # Each learner's numeric params, in a copy of its golden model.
+        params = text.split("\n")[4]
+        fields = [field.partition("=") for field in params[len("params: "):].split()]
+        numeric = [(name, value) for name, _sep, value in fields if name != "prune"]
+        assert numeric
+        for name, value in numeric:
+            real = name == "confidence_factor"
+            kind = "a real number" if real else "an integer"
+            for bad in ("two", "1.5e", "") + (() if real else ("0.5",)):
+                edited = text.replace(params, params.replace(
+                    f"{name}={value}", f"{name}={bad}"), 1)
+                with pytest.raises(ModelFormatError) as info:
+                    load_model(edited)
+                assert str(info.value) == (
+                    f"line 5: bad params: {name} must be {kind}, got {bad!r}")
 
     def test_error_carries_line_number(self):
         with pytest.raises(ModelFormatError) as info:
@@ -280,9 +307,6 @@ class TestLoadErrors:
         assert str(copy) == str(info.value) and str(copy).startswith("line 2: ")
         assert copy.line_number == 2
 
-
-GOLDEN_TEXTS = sorted(path.read_text(encoding="utf-8") for path in
-                      (pathlib.Path(__file__).parent / "golden").glob("*.model"))
 
 _MUTATIONS = ("drop", "duplicate", "indent", "dedent", "swap", "repeat name")
 
