@@ -2,7 +2,7 @@
 
 ``_ibeta`` evaluates I_x(a, b) with DiDonato & Morris's continued
 fraction (1992, BFRAC) for the smaller tail, and ``_beta_upper_quantile``
-inverts it by Halley steps from Numerical Recipes' first guess, or by a
+inverts it by Halley steps from a first guess (``_beta_start``), or by a
 Cornish-Fisher expansion once min(a, b) reaches ``_NORMAL_LIMIT``.
 Pruning's binomial bound (``trees._upper_error_estimate``) is such a
 quantile, and a two-sided Student t p-value is I_{ν/(ν+t²)}(ν/2, 1/2).
@@ -164,8 +164,21 @@ def _ibeta(a: float, b: float, x: float) -> Tuple[float, float]:
 
 
 def _beta_start(a: float, b: float, p: float, q: float) -> float:
-    """A first guess at x with I_x(a, b) = p = 1 - q (Numerical Recipes'
-    invbetai: Abramowitz & Stegun 26.5.22 where a, b >= 1)."""
+    """A first guess at x with I_x(a, b) = p = 1 - q.
+
+    Numerical Recipes' invbetai (Abramowitz & Stegun 26.5.22 where a, b >=
+    1), except where the smaller tail is below _EPS: there that tail's
+    leading power is solved on logs, I_x(a, b) ~ x^a / (a B(a, b)) or
+    1 - I_x(a, b) ~ (1 - x)^b / (b B(a, b)).  So far out, the normal
+    approximation can miss the side of 1/2 the root is on: for a near 1
+    and a large b it puts the upper 1e-300 quantile, about 691 / b, near 1.
+    """
+    if min(p, q) < _EPS:
+        c, _r, log_scale = _beta_scale(a, b)
+        log_beta = a * math.log(a / c) + b * math.log(b / c) - log_scale
+        if p < q:
+            return math.exp((math.log(a) + math.log(p) + log_beta) / a)
+        return -math.expm1((math.log(b) + math.log(q) + log_beta) / b)
     if a >= 1.0 and b >= 1.0:
         t = math.sqrt(-2.0 * math.log(min(p, q)))
         z = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
@@ -223,7 +236,7 @@ def _halley(a: float, b: float, p: float, q: float, x: float,
             # Only the tail computed, the smaller, can be below normal.
             log_tail = math.log(tail) if tail >= _MIN_NORMAL else log_small
             below = (log_tail - log_target) * sign < 0.0
-            usable = log_power > -math.inf
+            usable = log_tail - log_power < 700.0  # so tail / power is finite
         if below:
             lo = x
         else:

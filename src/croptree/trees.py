@@ -32,8 +32,9 @@ once in numpy; smaller ones are scored in Python, where numpy's cost per
 call outweighs the work.  Both kernels choose the same splits.  The
 last bits of a sum of weights depend on the order of its additions, so
 every such sum is sequential, left to right in node order (``np.cumsum``
-and ``np.bincount`` in the kernel, never pairwise like ``np.sum``), and
-models stay byte-identical.
+and ``np.bincount`` in the kernel, never pairwise like ``np.sum``, and
+``_sum`` in Python, never the builtin ``sum``, which compensates from
+Python 3.12), and models stay byte-identical.
 
 Missing attribute values (None; NaN and ±inf are errors) are distributed
 fractionally across both branches while training.  A trained tree routes
@@ -70,6 +71,16 @@ from .dataset import Dataset, _check_finite, _integer
 #: Tolerance used when comparing gains and ratios; candidates within this
 #: band count as tied and the earlier candidate in pinned order wins.
 EPS = 1e-12
+
+
+def _sum(values) -> float:
+    """The float sum of ``values`` added left to right, as the builtin
+    ``sum`` adds floats up to Python 3.11; from 3.12 it compensates."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
 
 #: Each learner's parameters, in the order model files list them.
 PARAM_FIELDS = {
@@ -147,7 +158,7 @@ class Leaf:
 
     @cached_property
     def weight(self) -> float:
-        return sum(self.counts)
+        return _sum(self.counts)
 
     @cached_property
     def predicted_index(self) -> int:
@@ -404,7 +415,7 @@ def _small_candidates(features, node, attr: int, n_classes: int, min_leaf: float
     for _v, cls, w in present:
         total_counts[cls] += w
     active = [c for c in range(n_classes) if total_counts[c] > 0.0]
-    total_w = sum(total_counts)
+    total_w = _sum(total_counts)
     known_w = total_w - miss_w
     # None without two present rows, or when their weight rounds away.
     if len(present) < 2 or known_w <= 0.0:
@@ -656,7 +667,7 @@ def _choose_by_gain_ratio(evals) -> Optional[Tuple[int, float]]:
     positive = [g for g in gains if g > EPS]
     if not positive:
         return None
-    floor = sum(positive) / len(positive) - EPS
+    floor = _sum(positive) / len(positive) - EPS
     best_ratio = 0.0
     choice = None
     for a, (g, cands) in enumerate(zip(gains, evals)):
@@ -769,7 +780,7 @@ def _goes_left(node: Internal, value: Optional[float]) -> bool:
 def _reduced_error_prune(dataset: Dataset, hold, root: Node):
     """Prune ``root`` against the holdout node ``hold``; (node, its errors)."""
     def errors(leaf: Leaf, hold) -> float:
-        return sum(w for _i, cls, w in hold if cls != leaf.predicted_index)
+        return _sum(w for _i, cls, w in hold if cls != leaf.predicted_index)
 
     def route(node: Internal, hold):
         left, right = [], []

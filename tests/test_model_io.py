@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from croptree import (Dataset, LabeledInstance, ModelFormatError, TrainParams,
-                      load_model, predict, save_model, train)
+                      load_model, predict, save_model, train,
+                      write_rainfall_file)
+from croptree.cli import main
 from support import random_dataset, random_feature_vector
 
 
 GOLDEN_MODELS = sorted((pathlib.Path(__file__).parent / "golden").glob("*.model"))
 GOLDEN_NAMES = [path.stem for path in GOLDEN_MODELS]
 GOLDEN_TEXTS = [path.read_text(encoding="utf-8") for path in GOLDEN_MODELS]
+GAINRATIO = GOLDEN_TEXTS[GOLDEN_NAMES.index("gainratio")]
 
 
 def _model(algorithm="gainratio", seed=1, rng_seed=12):
@@ -188,16 +191,22 @@ class TestLoadErrors:
                 "attributes: a0\nclasses: X,Y\n"
                 "params: min_leaf=2 confidence_factor=0.25 prune=true seed=1\n"
                 "tree:\n: X (5/1) {X:2,Y:1}\n")
-        with pytest.raises(ModelFormatError, match="do not match"):
+        with pytest.raises(ModelFormatError) as info:
             load_model(text)
+        assert str(info.value) == (
+            "line 7: ': X (5/1) {X:2,Y:1}' is not in canonical form; "
+            "saving gives ': X (3/1) {X:2,Y:1}'")
 
     def test_non_majority_class_rejected(self):
         text = ("croptree-model v1\nalgorithm: gainratio\n"
                 "attributes: a0\nclasses: X,Y\n"
                 "params: min_leaf=2 confidence_factor=0.25 prune=true seed=1\n"
                 "tree:\n: Y (3/1) {X:2,Y:1}\n")
-        with pytest.raises(ModelFormatError, match="majority"):
+        with pytest.raises(ModelFormatError) as info:
             load_model(text)
+        assert str(info.value) == (
+            "line 7: ': Y (3/1) {X:2,Y:1}' is not in canonical form; "
+            "saving gives ': X (3/1) {X:2,Y:1}'")
 
     def test_mismatched_branch_pair(self):
         text = ("croptree-model v1\nalgorithm: gainratio\n"
@@ -251,8 +260,12 @@ class TestLoadErrors:
         (": X (3/1)", ": Z (3/1)", 7, "unknown class 'Z'"),
         ("{X:2,", "{X2,", 7, "malformed distribution entry 'X2'"),
         ("{X:2,Y:1}", "{Y:1,X:2}", 7,
-         "distribution entries must follow class-domain order"),
-        ("{X:2,Y:1}", "{X:4,Y:-1}", 7, "negative class count"),
+         "'a0 <= 1: X (3/1) {Y:1,X:2}' is not in canonical form; "
+         "saving gives 'a0 <= 1: X (3/1) {X:2,Y:1}'"),
+        ("{X:2,Y:1}", "{X:4,Y:-1}", 7,
+         "'a0 <= 1: X (3/1) {X:4,Y:-1}' is not in canonical form; "
+         "saving gives 'a0 <= 1: X (3/0)'"),
+        ("{X:2,Y:1}", "{X:1e308,Y:1e308}", 7, "class counts add up to infinity"),
         # file structure; "\udcff" stands for the byte 0xff
         ("X (3/1)", "\udcff (3/1)", 0, "not valid UTF-8: 'utf-8' codec can't "
          "decode byte 0xff in position 145: invalid start byte"),
@@ -308,6 +321,65 @@ class TestLoadErrors:
         assert copy.line_number == 2
 
 
+# (golden model text, old, new, line of the error): each new text parses
+# to the same value as the old one, but saving writes the old one.
+_UNPRUNED = GOLDEN_TEXTS[GOLDEN_NAMES.index("gainratio_unpruned")]
+_ROOT_AT_0 = GAINRATIO.replace("sep <= 105\n", "sep <= 0\n").replace(
+    "\nsep > 105\n", "\nsep > 0\n")
+_NON_CANONICAL = [
+    pytest.param(GAINRATIO, "min_leaf=2", f"min_leaf={text}", 5, id=f"min_leaf={text}")
+    for text in ("02", "+2", "0_2")
+] + [
+    pytest.param(GAINRATIO, "confidence_factor=0.25", f"confidence_factor={text}",
+                 5, id=f"confidence_factor={text}")
+    for text in ("0.250", "2.5e-1")
+] + [
+    pytest.param(GAINRATIO, "sep <= 105\n", "sep <= 105.0\n", 7, id="threshold-105.0"),
+    pytest.param(_ROOT_AT_0, "sep <= 0\n", "sep <= -0\n", 7, id="threshold-minus-0"),
+    pytest.param(GAINRATIO, "{C4:0.0348", "{A1:0,C4:0.0348", 10, id="zero-count-entry"),
+    pytest.param(_UNPRUNED, "A2 (3/0)", "A2 (3.0/0)", 148, id="leaf-weight-3.0"),
+]
+
+
+class TestCanonicalForm:
+    """A file loads only if saving its tree gives the same bytes."""
+
+    @pytest.mark.parametrize("text", GOLDEN_TEXTS, ids=GOLDEN_NAMES)
+    def test_golden_model_saves_to_its_own_bytes(self, text):
+        assert save_model(load_model(text)) == text.encode("utf-8")
+
+    @pytest.mark.parametrize("text, old, new, line", _NON_CANONICAL)
+    def test_other_spelling_is_rejected_at_its_line(self, text, old, new, line):
+        assert save_model(load_model(text)).decode() == text
+        edited = text.replace(old, new, 1)
+        with pytest.raises(ModelFormatError) as info:
+            load_model(edited)
+        have, want = edited.split("\n")[line - 1], text.split("\n")[line - 1]
+        assert str(info.value) == (
+            f"line {line}: {have!r} is not in canonical form; saving gives {want!r}")
+        assert info.value.line_number == line
+
+    @pytest.mark.parametrize("text, old, new, line", _NON_CANONICAL)
+    def test_recommend_exits_2_naming_the_line(self, tmp_path, stations75, capsys,
+                                               text, old, new, line):
+        rain = tmp_path / "rain.csv"
+        rain.write_text(write_rainfall_file(stations75), encoding="utf-8")
+        model = tmp_path / "model.txt"
+        model.write_text(text.replace(old, new, 1), encoding="utf-8")
+        assert main(["recommend", str(model), str(rain)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model}: line {line}: ")
+        assert "is not in canonical form; saving gives" in err
+
+    def test_structural_error_below_wins(self):
+        # line 5 is only non-canonical; the trailing line leaves no tree
+        text = GAINRATIO.replace("min_leaf=2", "min_leaf=02", 1) + ": D4 (1/0)\n"
+        last = text.count("\n")
+        with pytest.raises(ModelFormatError) as info:
+            load_model(text)
+        assert str(info.value) == f"line {last}: unexpected trailing content"
+
+
 _MUTATIONS = ("drop", "duplicate", "indent", "dedent", "swap", "repeat name")
 
 
@@ -317,8 +389,8 @@ def test_mutated_model_is_rejected_or_resaves_canonically(data):
     """Golden files with tree-body lines dropped, duplicated or
     re-indented, a name repeated in the attributes or classes line, or two
     characters of either of those lines or of a body line swapped, either
-    fail to load with ModelFormatError or load to a tree that re-saves
-    unchanged."""
+    fail to load with ModelFormatError or load to a tree that saves to
+    the mutated bytes themselves."""
     lines = data.draw(st.sampled_from(GOLDEN_TEXTS)).split("\n")
     for _ in range(data.draw(st.integers(1, 3))):
         kind = data.draw(st.sampled_from(_MUTATIONS))
@@ -350,9 +422,9 @@ def test_mutated_model_is_rejected_or_resaves_canonically(data):
             b = data.draw(st.integers(0, len(chars) - 1))
             chars[a], chars[b] = chars[b], chars[a]
             lines[k] = "".join(chars)
+    mutant = "\n".join(lines)
     try:
-        tree = load_model("\n".join(lines))
+        tree = load_model(mutant)
     except ModelFormatError:
         return
-    saved = save_model(tree)
-    assert save_model(load_model(saved)) == saved
+    assert save_model(tree) == mutant.encode("utf-8")

@@ -642,6 +642,24 @@ class TestPruning:
         assert some == pytest.approx(744.46235680955159, rel=1e-14)
         assert none < some
 
+    def test_quantile_far_in_the_upper_tail_of_a_skewed_beta(self):
+        # Beta(1.00012, 1e34): the Abramowitz-Stegun first guess puts these
+        # quantiles near 1, where solving for 1 - x returned x = 0.  The
+        # values are the Gamma(a) limit, to 50 digits with mpmath.
+        a = 1.0 + 1.2e-4
+        for q, want in ((1e-300, 6.9077638186365623e-32),
+                        (5e-324, 7.4444093485241871e-32)):
+            assert _beta_upper_quantile(a, 1e34, q) == pytest.approx(want, rel=1e-13)
+        for b in (1e20, 1e30):
+            assert _beta_upper_quantile(a, b, 1e-300) == pytest.approx(
+                6.9077638186365623e-32 * 1e34 / b, rel=1e-13)
+        # Beta(1e5, 1e300) at a subnormal q, also its Gamma limit: the first
+        # guess from the tail's leading power lies beyond the root, and a
+        # Halley step from it can land where the ratio of the tail to the
+        # density overflows.
+        assert _beta_upper_quantile(1e5, 1e300, 1e-320) == pytest.approx(
+            1.1259442268375172e-295, rel=1e-13)
+
     def test_estimate_exceeds_observed_errors(self):
         rng = random.Random(23)
         for _ in range(100):
@@ -669,6 +687,12 @@ class TestPruning:
         assert Leaf((0.0, 4.0)).errors == 0.0
         assert Leaf((0.0, 0.0)).errors == 0.0
         assert Leaf(()).errors == 0.0
+
+    def test_leaf_weight_adds_left_to_right(self):
+        # Model files hold this sum, so it must not depend on the Python
+        # version: from 3.12 the builtin sum compensates and gives 1.0.
+        assert Leaf((0.1,) * 10).weight == 0.9999999999999999
+        assert Leaf((1e16, 1.0, 1.0)).weight == 1e16
 
     def test_noise_collapses_to_single_leaf(self):
         # labels independent of a constant-ish attribute: prune to a leaf
