@@ -2,8 +2,9 @@
 
 ``_ibeta`` evaluates I_x(a, b) with DiDonato & Morris's continued
 fraction (1992, BFRAC) for the smaller tail, and ``_beta_upper_quantile``
-inverts it by Halley steps from a first guess (``_beta_start``), or by a
-Cornish-Fisher expansion once min(a, b) reaches ``_NORMAL_LIMIT``.
+inverts it by Halley steps on the log of that tail from a first guess
+(``_beta_start``), or by a Cornish-Fisher expansion once min(a, b)
+reaches ``_NORMAL_LIMIT``.
 Pruning's binomial bound (``trees._upper_error_estimate``) is such a
 quantile, and a two-sided Student t p-value is I_{ν/(ν+t²)}(ν/2, 1/2).
 Pure Python, so croptree needs no scipy.
@@ -216,41 +217,30 @@ def _halley(a: float, b: float, p: float, q: float, x: float,
     search there.
 
     On the log scale a step from far out in a tail lands near the root
-    instead of creeping towards it; near the root the steps are the same.
+    instead of creeping towards it, and a tail below the normal range
+    keeps in its log the bits that its float has lost.
     """
     scale = _beta_scale(a, b)
     # tail = I_x(a, b) rises with x, tail = 1 - I_x(a, b) falls
     target, sign = (p, 1.0) if p < q else (q, -1.0)
-    # A subnormal target, and the tails near it, hold too few bits to be
-    # compared or divided: below the normal range the search uses logs.
-    log_target = math.log(target) if target < _MIN_NORMAL else None
+    log_target = math.log(target)
     lo, hi = 0.0, 1.0
     for _ in range(200):
         ip, iq, log_power, log_small = _ibeta_parts(a, b, x, scale)
         tail = ip if sign > 0.0 else iq
-        if log_target is None:
-            power = math.exp(log_power)
-            below = (tail - target) * sign < 0.0
-            usable = power > 0.0 and tail > 0.0
-        else:
-            # Only the tail computed, the smaller, can be below normal.
-            log_tail = math.log(tail) if tail >= _MIN_NORMAL else log_small
-            below = (log_tail - log_target) * sign < 0.0
-            usable = log_tail - log_power < 700.0  # so tail / power is finite
-        if below:
+        # Only the tail computed, the smaller, can be below normal.
+        log_tail = math.log(tail) if tail >= _MIN_NORMAL else log_small
+        if (log_tail - log_target) * sign < 0.0:
             lo = x
         else:
             hi = x
             if hi <= floor:
                 return hi
         y = 1.0 - x
-        if usable and y > 0.0:
+        if log_tail - log_power < 700.0 and y > 0.0:  # so tail / power is finite
             # g = log(tail / target): g / g' and the Halley factor g'' / g'
-            if log_target is None:
-                g, ratio = math.log(tail / target), tail / power
-            else:
-                g, ratio = log_tail - log_target, math.exp(log_tail - log_power)
-            ratio *= x * y  # tail / density
+            g = log_tail - log_target
+            ratio = math.exp(log_tail - log_power) * x * y  # tail / density
             step = sign * g * ratio
             u = step * ((a - 1.0) / x - (b - 1.0) / y - sign / ratio)
             if abs(u) < 1.0:

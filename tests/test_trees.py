@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -545,7 +545,7 @@ class TestIncompleteBeta:
         rows = [r for r in _reference_bounds() if r[0] == kind]
         errors = [_ulps(_beta_upper_quantile(a, b, cf), exact)
                   for _kind, a, b, cf, _scipy, exact in rows]
-        # measured: median 0 ulps (grid, huge) and 1 (bench), at most 9
+        # measured: median 0 ulps (grid, huge) and 1 (bench), at most 10
         assert statistics.median(errors) <= 1
         for (_kind, a, b, cf, _scipy, exact), err in zip(rows, errors):
             assert err * math.ulp(exact) <= 1e-14 * exact, (a, b, cf)
@@ -609,6 +609,7 @@ class TestPruning:
     @settings(max_examples=300, deadline=None)
     @given(n=WEIGHTS, shares=st.tuples(SHARES, SHARES),
            factors=st.tuples(FACTORS, FACTORS))
+    @example(n=1.0, shares=(0.0, 2.0 ** -52), factors=(0.5, 1.0 - 2.0 ** -52))
     def test_estimate_is_monotone_and_bounded(self, n, shares, factors):
         e1, e2 = sorted(n * s for s in shares)
         low, high = sorted(factors)
