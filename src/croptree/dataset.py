@@ -10,18 +10,19 @@ comments.  A labeled file appends a trailing `climate_class` column.
 
 A file is parsed once into a `RainfallTable`: station, region and year
 columns, line numbers as 8-byte integers, an n×12 float64 matrix with
-NaN for a missing month, and the label column of a labeled file.  Bytes
-are read in blocks of `_BLOCK_BYTES` through an incremental UTF-8
-decoder, twice: the first pass checks the whole file and counts its line
-feeds and commas, which size the matrix, so invalid UTF-8 is raised
-before any parse error; the second hands the parse one block of text at
-a time.  Beside that block, the table and the stations seen in each year,
-the parse holds one chunk of cells: lines are checked as they come,
-equal station, region and year values share one object, and the rainfall
-cells of up to `_CHUNK_ROWS` rows are converted together with Python's
-`float` into the matrix, which is allocated once.  The first error in
-file order is raised; a duplicate station-year finds the line it was
-first seen on by scanning the rows parsed before it.
+NaN for a missing month, and the label column of a labeled file.  Every
+source is read as one binary stream, twice: the first pass decodes it in
+blocks of `_BLOCK_BYTES` through an incremental UTF-8 decoder, checking
+the whole file and counting its line feeds and commas, which size the
+matrix, so invalid UTF-8 is raised before any parse error; the second
+reads it line by line and decodes each line alone.  Beside that line,
+the table and the stations seen in each year, the parse holds one chunk
+of cells: lines are checked as they come, equal station, region and year
+values share one object, and the rainfall cells of up to `_CHUNK_ROWS`
+rows are converted together with Python's `float` into the matrix, which
+is allocated once.  The first error in file order is raised; a duplicate
+station-year finds the line it was first seen on by scanning the rows
+parsed before it.
 `parse_rainfall_file`, `parse_labeled_file`, `StationYear` and `Dataset`
 are views built from the table, whose values reach them as Python floats.
 Instance rules (finite features, a positive finite weight) are checked
@@ -51,8 +52,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (IO, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Tuple, Union)
+from typing import (IO, Dict, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -191,8 +192,8 @@ class Dataset:
         return self.class_domain.index(label)
 
 
-#: Bytes of a file read and decoded at a time.  The parse holds one
-#: block of the file's bytes and text, never all of either.
+#: Bytes of a file read and decoded at a time while its UTF-8 is checked
+#: and its lines counted; no text is kept.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -207,56 +208,42 @@ def _utf8_error(exc: UnicodeDecodeError, start: int) -> DataError:
                      f"can't decode {where}: {exc.reason}")
 
 
-def _decoded(blocks: Iterable) -> Iterator[Tuple[bytes, str]]:
-    """(block, its text) of consecutive nonempty UTF-8 byte blocks, then
-    (b"", ""); a character split between blocks is the later one's text.
-    DataError for the first invalid or unfinished sequence."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    fed = start = 0  # bytes given to the decoder; offset of those it holds
-    for block in itertools.chain(blocks, [b""]):
-        try:
-            text = decoder.decode(block, final=not block)
-        except UnicodeDecodeError as exc:
-            raise _utf8_error(exc, start) from None
-        fed += len(block)
-        start = fed - len(decoder.getstate()[0])
-        yield block, text
+def _read(source: Union[str, bytes, IO]) -> Tuple[int, int, IO[bytes]]:
+    """(line feeds, commas, stream) of the source as one seekable
+    buffered binary stream, which is never wrapped: an io wrapper closes
+    the file it wraps when it is collected.
 
-
-def _read(source: Union[str, bytes, IO]) -> Tuple[int, int, Iterator[str]]:
-    """(line feeds, commas, text blocks) of the source's text.
-
-    A str is one block.  Bytes, through a memoryview, and a binary stream
-    that can seek are read twice in blocks of _BLOCK_BYTES: the first pass
-    counts the raw bytes and decodes them, keeping no text, so invalid
-    UTF-8 raises DataError before any line is parsed; the second decodes
-    again as the blocks are taken.  Any other stream is read whole first.
+    Such a stream is read from where it stands.  Bytes become an
+    io.BytesIO, and so do a str's UTF-8 bytes ("surrogatepass") and what
+    any other stream holds, read whole; a raw stream is one, as io would
+    read its lines a byte at a time.  The stream is read in blocks of
+    _BLOCK_BYTES through an incremental decoder that keeps no text, and
+    its bytes are counted, so invalid UTF-8 (in a str, a lone surrogate)
+    raises DataError before any line is parsed; then it is sought back
+    to where it stood.
     """
-    if hasattr(source, "read") and not (
-            isinstance(source, (io.RawIOBase, io.BufferedIOBase)) and source.seekable()):
-        source = source.read()
-    if isinstance(source, str):
-        return source.count("\n"), source.count(","), iter([source])
-    if hasattr(source, "read"):
-        first = source.tell()
-
-        def blocks():
-            source.seek(first)
-            while block := source.read(_BLOCK_BYTES):
-                yield block
-    else:
-        view = memoryview(source)
-
-        def blocks():
-            for start in range(0, len(view), _BLOCK_BYTES):
-                yield view[start:start + _BLOCK_BYTES]
-    line_feeds = commas = 0
-    for block, _text in _decoded(blocks()):
+    if not (isinstance(source, io.BufferedIOBase) and source.seekable()):
+        if hasattr(source, "read"):
+            source = source.read()
+        if isinstance(source, str):
+            source = source.encode("utf-8", "surrogatepass")
+        source = io.BytesIO(source)
+    first = source.tell()
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    line_feeds = commas = fed = 0  # fed: bytes given to the decoder
+    for block in itertools.chain(iter(lambda: source.read(_BLOCK_BYTES), b""), [b""]):
+        try:
+            decoder.decode(block, final=not block)
+        except UnicodeDecodeError as exc:
+            # The decoder began on the bytes it held from earlier blocks.
+            raise _utf8_error(exc, fed - len(decoder.getstate()[0])) from None
+        fed += len(block)
         # Neither byte occurs inside a multi-byte UTF-8 character.
         codes = np.frombuffer(block, dtype=np.uint8)
         line_feeds += int(np.count_nonzero(codes == ord("\n")))
         commas += int(np.count_nonzero(codes == ord(",")))
-    return line_feeds, commas, (text for _block, text in _decoded(blocks()))
+    source.seek(first)
+    return line_feeds, commas, source
 
 
 #: Rows whose rainfall cells are converted together.  It bounds the cell
@@ -344,31 +331,19 @@ def _fill_rainfall(out: np.ndarray, first_row: int, cells: List[str],
     out[first_row:first_row + len(block) // 12] = block.reshape(-1, 12)
 
 
-def _content_lines(blocks: Iterable[str]):
-    """(line number, line) of each non-blank, non-comment line of the text
-    that ``blocks`` hold in order, without a leading byte order mark, which
-    Excel's "CSV UTF-8" export writes.  Lines are cut from one block at a
-    time; the start of a line that a block ends with is carried into the
-    next."""
-    lineno, head = 0, []  # the pieces of a line begun in earlier blocks
-    # A line feed after the last block ends a last line that has none; a
-    # blank line after one that has is not yielded.
-    for text in itertools.chain(blocks, ["\n"]):
-        start = 0
-        while (stop := text.find("\n", start)) >= 0:
-            line = text[start:stop]
-            if head:
-                head.append(line)
-                line, head = "".join(head), []
-            start = stop + 1
-            lineno += 1
-            if lineno == 1:
-                line = line.removeprefix("\ufeff")
-            stripped = line.lstrip()
-            if stripped and stripped[0] != "#":
-                yield lineno, line
-        if start < len(text):
-            head.append(text[start:])
+def _content_lines(stream: IO[bytes]):
+    """(line number, line) of each non-blank, non-comment line of a
+    stream of valid UTF-8, without a leading byte order mark, which
+    Excel's "CSV UTF-8" export writes.  ``io`` splits the lines on line
+    feeds, and each is decoded alone: no multi-byte character holds the
+    byte 0x0A.  A line keeps its line feed, and a CR before it."""
+    for lineno, data in enumerate(stream, 1):
+        line = data.decode()
+        if lineno == 1:
+            line = line.removeprefix("\ufeff")
+        stripped = line.lstrip()
+        if stripped and stripped[0] != "#":
+            yield lineno, line
 
 
 def _row_key(fields: List[str], n_fields: int, lineno: int, shared: dict):
@@ -409,8 +384,8 @@ def _parse_table(source: Union[str, bytes, IO],
     it is None.  Invalid UTF-8 anywhere is raised first, then the first
     error in file order; within a line the order is fields, station,
     year, duplicate, cells by month, label."""
-    line_feeds, commas, blocks = _read(source)
-    lines = _content_lines(blocks)
+    line_feeds, commas, stream = _read(source)
+    lines = _content_lines(stream)
     lineno, header = next(lines, (0, None))
     if header is None:
         raise DataError("missing header line")
@@ -491,8 +466,8 @@ def parse_labeled_file(source: Union[str, bytes, IO]) -> List[Tuple[StationYear,
 
 def sniff_labeled(source: Union[str, bytes, IO]) -> bool:
     """True when the first content line is the labeled-file header."""
-    _line_feeds, _commas, blocks = _read(source)
-    _lineno, header = next(_content_lines(blocks), (0, ""))
+    _line_feeds, _commas, stream = _read(source)
+    _lineno, header = next(_content_lines(stream), (0, ""))
     return header.strip() == LABELED_HEADER
 
 

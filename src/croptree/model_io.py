@@ -195,19 +195,21 @@ def load_model(data: Union[bytes, str]) -> DecisionTree:
         raise ModelFormatError(7, "missing tree body")
     pos = 6  # cursor into ``lines``; its line number is pos + 1
 
-    def expand(task):
-        # A task is the branch line at the cursor: (depth, operator), or
-        # (0, None) for the root, which has a line only when it is a leaf.
-        # Results are (the branch's (attribute, threshold) test, node).
+    def expand(depth):
+        # A task is the depth of the branch line at the cursor, or None for
+        # the root, which has a line only when it is a leaf.  Results are
+        # (the branch's (attribute, threshold) test, node).  A node takes
+        # the test of its first branch line; a pair whose operators or
+        # tests are not "<=" and ">" of one test saves otherwise, so the
+        # canonical comparison below reports the first wrong line of it.
         nonlocal pos
-        depth, expected_op = task
         lineno = pos + 1
         if pos >= len(lines):
             raise ModelFormatError(lineno, "unexpected end of tree body")
         line = lines[pos]
-        if expected_op is None:
+        if depth is None:
             if not line.startswith(":"):
-                return None, ((0, "<="), (0, ">"))
+                return None, (0, 0)
             pos += 1
             return (None, _parse_leaf(line, lineno, class_domain)), None
         indent = "|   " * depth
@@ -216,8 +218,6 @@ def load_model(data: Union[bytes, str]) -> DecisionTree:
         match = _BRANCH_RE.match(line[len(indent):])
         if not match:
             raise ModelFormatError(lineno, f"malformed branch line {line!r}")
-        if match.group("op") != expected_op:
-            raise ModelFormatError(lineno, f"expected {expected_op!r} branch")
         attr = match.group("attr")
         if attr not in attribute_names:
             raise ModelFormatError(lineno, f"unknown attribute {attr!r}")
@@ -225,16 +225,13 @@ def load_model(data: Union[bytes, str]) -> DecisionTree:
         pos += 1
         if match.group("leaf"):
             return (test, _parse_leaf(match.group("leaf"), lineno, class_domain)), None
-        return test, ((depth + 1, "<="), (depth + 1, ">"))
+        return test, (depth + 1, depth + 1)
 
     def join(test, left, right):
-        if left[0] != right[0]:
-            # Reported at the last line of the pair's ">" subtree.
-            raise ModelFormatError(pos, "branch pair tests different attribute/threshold")
         attr, threshold = left[0]
         return test, Internal(attribute_names.index(attr), threshold, left[1], right[1])
 
-    _test, root = walk((0, None), expand, join)
+    _test, root = walk(None, expand, join)
     if pos != len(lines):
         raise ModelFormatError(pos + 1, "unexpected trailing content")
     tree = DecisionTree(root, attribute_names, class_domain, params)

@@ -1,3 +1,4 @@
+import gc
 import io
 import math
 import random
@@ -829,6 +830,39 @@ def test_streams_are_read_from_where_they_stand():
     ahead.read(3)
     for source in (_Unseekable(data), io.BufferedReader(_Unseekable(data)), ahead):
         assert parse_table(source).records() == parse_rainfall_file(SAMPLE)
+
+
+def test_a_callers_stream_stays_open(tmp_path):
+    # The parse reads the caller's stream itself, wrapping it in nothing
+    # whose collection would close it.
+    path = tmp_path / "rain.csv"
+    path.write_bytes(SAMPLE.encode())
+    with open(path, "rb") as fh:
+        for stream in (fh, io.BytesIO(SAMPLE.encode())):
+            parse_table(stream)
+            gc.collect()
+            assert not stream.closed
+            stream.seek(0)
+            assert stream.read() == SAMPLE.encode()
+
+
+def test_an_unbuffered_file_parses_as_its_bytes(tmp_path):
+    path = tmp_path / "rain.csv"
+    path.write_bytes(("\ufeff" + SAMPLE.replace("\n", "\r\n")).encode())
+    with open(path, "rb", buffering=0) as fh:
+        table, parsed = _table_parse(fh)
+    expected_table, expected = _table_parse(path.read_bytes())
+    assert parsed == expected
+    assert table.lines == expected_table.lines
+
+
+def test_a_lone_surrogate_in_a_str_is_invalid_utf8():
+    text = SAMPLE.replace("Halim", "Ha\ud800lim")
+    with pytest.raises(UnicodeDecodeError) as info:
+        text.encode("utf-8", "surrogatepass").decode("utf-8")
+    with pytest.raises(DataError) as raised:
+        parse_table(text)
+    assert str(raised.value) == f"input is not valid UTF-8: {info.value}"
 
 
 @pytest.mark.parametrize("policy", list(MissingPolicy))

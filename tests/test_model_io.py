@@ -213,8 +213,10 @@ class TestLoadErrors:
                 "attributes: a0,a1\nclasses: X,Y\n"
                 "params: min_leaf=2 confidence_factor=0.25 prune=true seed=1\n"
                 "tree:\na0 <= 1: X (1/0)\na1 > 1: Y (1/0)\n")
-        with pytest.raises(ModelFormatError, match="branch"):
+        with pytest.raises(ModelFormatError) as info:
             load_model(text)
+        assert str(info.value) == ("line 8: 'a1 > 1: Y (1/0)' is not in canonical "
+                                   "form; saving gives 'a0 > 1: Y (1/0)'")
 
     def test_unknown_attribute(self):
         text = ("croptree-model v1\nalgorithm: gainratio\n"
@@ -266,6 +268,14 @@ class TestLoadErrors:
          "'a0 <= 1: X (3/1) {X:4,Y:-1}' is not in canonical form; "
          "saving gives 'a0 <= 1: X (3/0)'"),
         ("{X:2,Y:1}", "{X:1e308,Y:1e308}", 7, "class counts add up to infinity"),
+        # branch pairs
+        pytest.param("a0 > 1: Y (2/0)",
+                     "a1 > 1\n|   a0 <= 2: X (1/0)\n|   a0 > 2: Y (1/0)", 8,
+                     "'a1 > 1' is not in canonical form; saving gives 'a0 > 1'",
+                     id="mismatched-pair-over-a-subtree"),
+        pytest.param(_BODY, "a0 > 1: X (1/0)\na0 <= 1: Y (1/0)\n", 7,
+                     "'a0 > 1: X (1/0)' is not in canonical form; "
+                     "saving gives 'a0 <= 1: X (1/0)'", id="swapped-operators"),
         # file structure; "\udcff" stands for the byte 0xff
         ("X (3/1)", "\udcff (3/1)", 0, "not valid UTF-8: 'utf-8' codec can't "
          "decode byte 0xff in position 145: invalid start byte"),
