@@ -3,10 +3,22 @@
 Exit codes: 0 success, 1 usage or parameter errors, 2 data errors.  A
 reader that closes stdout early (``| head``) ends the command with exit
 1 and nothing on stderr.  Commands that write files do so atomically; a
-failing run leaves no partial output behind.  A new output file gets
-mode 0666 less the umask, and a rewritten one keeps its permission bits.
-``recommend`` prints its holdout accuracy on stdout when it writes its
-CSV to a file, and on stderr when the CSV goes to stdout.
+failing run leaves no partial output behind, and output meant for stdout
+is spooled in an unnamed temporary file until the command has succeeded.
+A new output file gets mode 0666 less the umask, and a rewritten one
+keeps its permission bits.  An input error names the input path, and a
+write error the output path.  ``recommend`` prints its holdout accuracy
+on stdout when it writes its CSV to a file, and on stderr when the CSV
+goes to stdout.
+
+``oldeman`` and ``recommend`` read their input a block of rows at a time
+(``dataset.parse_blocks``): each block is labeled or routed through the
+tree, and its CSV lines written, before the next is parsed, so neither
+command holds the whole table.  The error order is that of a whole-file
+parse: a parse error anywhere in the file beats a label error and
+``already labeled``, and among label errors the first failing row wins.
+After the first such error the rest of the file is still parsed, but
+not labeled or written.
 """
 
 from __future__ import annotations
@@ -16,16 +28,19 @@ import contextlib
 import itertools
 import os
 import pathlib
+import shutil
 import sys
 import tempfile
-from typing import Iterable, Iterator, List, Optional
+from collections import Counter
+from typing import IO, Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from .climate import (CLASS_DOMAIN, MONTH_NAMES, CroppingPattern,
                       DEFAULT_B3_PATTERN, MissingPolicy, pattern_for_label)
-from .dataset import (CountTable, Dataset, RainfallTable, count_table,
-                      dataset_from_table, label_table, parse_table)
+from .dataset import (CountTable, Dataset, RainfallTable, _check_labeled,
+                      _label_rows, count_table, dataset_from_table,
+                      parse_blocks, parse_table)
 # Not called here: perfbench/spans.py wraps these names in this module.
 from .dataset import (count_by_type_region, dataset_from_pairs,  # noqa: F401
                       label_dataset, label_records, parse_labeled_file,
@@ -119,14 +134,14 @@ def _build_parser() -> _Parser:
 
 
 @contextlib.contextmanager
-def _naming(path: str, verb: str = "read"):
+def _naming(path: str):
     """Prefix each DataError raised inside with ``path``; an OSError becomes one."""
     try:
         yield
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
     except OSError as exc:
-        raise DataError(f"cannot {verb} {path}: {exc.strerror or exc}") from None
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _output_mode(path: str) -> int:
@@ -143,15 +158,19 @@ def _output_mode(path: str) -> int:
 def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
     """Write ``chunks``, one after another as they come, into a temporary
     file beside ``path``, which then replaces ``path`` with the mode
-    ``_output_mode`` gives.  A failing write leaves ``path`` as it was and
-    removes the temporary file."""
-    with _naming(path, "write"):
-        directory = os.path.dirname(os.path.abspath(path))
-        fd, tmp = tempfile.mkstemp(dir=directory,
+    ``_output_mode`` gives.  The file is made when the first chunk has
+    come, so an input error met before it is reported first.  Any failure
+    leaves ``path`` as it was and removes the temporary file; an OSError
+    becomes a DataError that names ``path``, and an error ``chunks``
+    raises passes unchanged."""
+    chunks = iter(chunks)
+    head = next(chunks, b"")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
                                    prefix=os.path.basename(path) + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
-                for chunk in chunks:
+                for chunk in itertools.chain([head], chunks):
                     fh.write(chunk)
             os.chmod(tmp, _output_mode(path))
             os.replace(tmp, path)
@@ -161,41 +180,52 @@ def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
             except OSError:
                 pass
             raise
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _spooled(chunks: Iterable[str]) -> IO[str]:
+    """An unnamed temporary file holding the text ``chunks``, sought back
+    to its start.  An OSError becomes a DataError that names the
+    temporary directory, and an error ``chunks`` raises passes unchanged."""
+    try:
+        spool = tempfile.TemporaryFile("w+", encoding="utf-8", newline="")
+        try:
+            for chunk in chunks:
+                spool.write(chunk)
+            spool.seek(0)
+        except BaseException:
+            spool.close()
+            raise
+    except OSError as exc:
+        raise DataError(f"cannot write a temporary file in {tempfile.gettempdir()}: "
+                        f"{exc.strerror or exc}") from None
+    return spool
 
 
 def _emit(chunks: Iterable[str], path: Optional[str]) -> None:
-    """Text chunks to stdout, or UTF-8 encoded to ``path`` (_atomic_write)."""
-    if path is None:
-        for chunk in chunks:
-            sys.stdout.write(chunk)
-    else:
+    """Text chunks, UTF-8 encoded, to ``path`` (_atomic_write), or to
+    stdout once the last has come: until then they are spooled
+    (_spooled), so a failing command prints nothing."""
+    if path is not None:
         _atomic_write(path, (chunk.encode("utf-8") for chunk in chunks))
+        return
+    with _spooled(chunks) as spool:
+        shutil.copyfileobj(spool, sys.stdout)
 
 
-#: CSV lines rendered, joined and written together.
-_BLOCK_LINES = 4096
-
-
-def _csv_blocks(header: str, lines: Iterable[str]) -> Iterator[str]:
-    """The header line, then ``lines`` joined up to _BLOCK_LINES at a
-    time, each line ended by a line feed."""
-    yield header + "\n"
-    lines = iter(lines)
-    while block := list(itertools.islice(lines, _BLOCK_LINES)):
-        yield "\n".join(block) + "\n"
-
-
-def _read_table(path: str) -> RainfallTable:
-    """The rainfall file at ``path``, raw or labeled; callers name the file.
-    The open file is read in blocks, and neither its bytes nor its text
-    are held whole."""
-    with open(path, "rb") as fh:
-        return parse_table(fh)
+def _read_blocks(path: str) -> Iterator[RainfallTable]:
+    """The rainfall file at ``path``, raw or labeled, a block of rows at a
+    time (parse_blocks); its errors name the path.  Neither the file's
+    bytes nor its text are held whole, nor any block but the one handed
+    on."""
+    with _naming(path), open(path, "rb") as fh:
+        yield from parse_blocks(fh)
 
 
 def _load_dataset(path: str, policy: MissingPolicy) -> Dataset:
-    with _naming(path):
-        return dataset_from_table(_read_table(path), policy)
+    with _naming(path), open(path, "rb") as fh:
+        return dataset_from_table(parse_table(fh), policy)
 
 
 def _csv_field(text: str) -> str:
@@ -239,22 +269,47 @@ def _pattern_texts(args) -> dict:
 
 
 def _cmd_oldeman(args) -> int:
-    with _naming(args.input):
-        table = _read_table(args.input)
-        if table.labels is not None:
-            raise DataError("already labeled; expected a raw rainfall file")
-        rows, types = label_table(table, MissingPolicy(args.missing_policy))
+    policy = MissingPolicy(args.missing_policy)
     patterns = _pattern_texts(args)
-    labels = [climate.label for climate in types]
-    # Every row kept: the table's own column, not a copy.
-    regions = (table.regions if isinstance(rows, range)
-               else [table.regions[i] for i in rows])
-    _emit(_csv_blocks("station,region,year,climate_class,cropping_pattern",
-                      (f"{_csv_field(table.stations[i])},{_csv_field(region)},"
-                       f'{table.years[i]},{label},"{patterns[label]}"'
-                       for i, label, region in zip(rows, labels, regions))),
-          args.output)
-    sys.stdout.write(_render_count_table(count_table(labels, regions)))
+    tally: Counter = Counter()  # (class, region) of each labeled row
+
+    def chunks() -> Iterator[str]:
+        header = "station,region,year,climate_class,cropping_pattern\n"
+        # The first label error, raised once the rest of the file has
+        # parsed, so that a parse error anywhere comes first.
+        held: Optional[DataError] = None
+        n_rows = 0
+        for block in _read_blocks(args.input):
+            n_rows += len(block)
+            if held is not None:
+                continue
+            if block.labels is not None:
+                held = DataError("already labeled; expected a raw rainfall file")
+                continue
+            try:
+                rows, types = _label_rows(block.rainfall, None, policy,
+                                          block.stations, block.years)
+            except DataError as exc:
+                held = exc
+                continue
+            labels = [climate.label for climate in types]
+            # Every row kept: the block's own column, not a copy.
+            regions = (block.regions if isinstance(rows, range)
+                       else [block.regions[i] for i in rows])
+            tally.update(zip(labels, regions))
+            text = "".join(f"{_csv_field(block.stations[i])},{_csv_field(region)},"
+                           f'{block.years[i]},{label},"{patterns[label]}"\n'
+                           for i, label, region in zip(rows, labels, regions))
+            if text:
+                yield header + text
+                header = ""
+        with _naming(args.input):
+            if held is not None:
+                raise held
+            _check_labeled(n_rows, sum(tally.values()))
+
+    _emit(chunks(), args.output)
+    sys.stdout.write(_render_count_table(count_table(tally)))
     return 0
 
 
@@ -301,31 +356,44 @@ def _cmd_recommend(args) -> int:
                 or model.class_domain != CLASS_DOMAIN):
             raise DataError("model does not use the rainfall "
                             "pipeline's attribute and class domains")
-    with _naming(args.input):
-        table = _read_table(args.input)
-        complete = table.complete
-        if args.complete_only:
-            kept = np.flatnonzero(complete)
-            rainfall, rows = table.rainfall[kept], kept.tolist()
-        else:
-            rainfall, rows = table.rainfall, range(len(table))
-        if not rows:
-            raise DataError("no stations to classify")
-    predicted = [model.class_domain[c]
-                 for c in predict_rows(model, rainfall).tolist()]
     patterns = _pattern_texts(args)
     status = ("incomplete", "complete")
-    complete = complete.tolist()
-    _emit(_csv_blocks("station,region,climate_class,cropping_pattern,data_status",
-                      (f"{_csv_field(table.stations[i])},{_csv_field(table.regions[i])},"
-                       f'{label},"{patterns[label]}",{status[complete[i]]}'
-                       for i, label in zip(rows, predicted))),
-          args.output)
-    if table.labels is not None:
-        correct = sum(label == table.labels[i] for i, label in zip(rows, predicted))
+    n_rows = correct = 0
+    labeled = False
+
+    def chunks() -> Iterator[str]:
+        nonlocal n_rows, correct, labeled
+        header = "station,region,climate_class,cropping_pattern,data_status\n"
+        for block in _read_blocks(args.input):
+            complete = block.complete
+            if args.complete_only:
+                kept = np.flatnonzero(complete)
+                rainfall, rows = block.rainfall[kept], kept.tolist()
+            else:
+                rainfall, rows = block.rainfall, range(len(block))
+            predicted = [model.class_domain[c]
+                         for c in predict_rows(model, rainfall).tolist()]
+            complete = complete.tolist()
+            text = "".join(f"{_csv_field(block.stations[i])},{_csv_field(block.regions[i])},"
+                           f'{label},"{patterns[label]}",{status[complete[i]]}\n'
+                           for i, label in zip(rows, predicted))
+            n_rows += len(rows)
+            if block.labels is not None:
+                labeled = True
+                correct += sum(label == block.labels[i]
+                               for i, label in zip(rows, predicted))
+            if text:
+                yield header + text
+                header = ""
+        if not n_rows:
+            with _naming(args.input):
+                raise DataError("no stations to classify")
+
+    _emit(chunks(), args.output)
+    if labeled:
         # Beside a CSV on stdout, the line would be a row no CSV reader wants.
-        print(f"holdout accuracy: {100.0 * correct / len(rows):.2f}% "
-              f"({correct}/{len(rows)})",
+        print(f"holdout accuracy: {100.0 * correct / n_rows:.2f}% "
+              f"({correct}/{n_rows})",
               file=sys.stderr if args.output is None else sys.stdout)
     return 0
 

@@ -8,21 +8,23 @@ File grammar (UTF-8, comma separated, LF or CRLF line ends):
 Empty rainfall cells are missing values.  Lines starting with '#' are
 comments.  A labeled file appends a trailing `climate_class` column.
 
-A file is parsed once into a `RainfallTable`: station, region and year
-columns, line numbers as 8-byte integers, an n×12 float64 matrix with
-NaN for a missing month, and the label column of a labeled file.  Every
-source is read as one binary stream, twice: the first pass decodes it in
-blocks of `_BLOCK_BYTES` through an incremental UTF-8 decoder, checking
-the whole file and counting its line feeds and commas, which size the
-matrix, so invalid UTF-8 is raised before any parse error; the second
-reads it line by line and decodes each line alone.  Beside that line,
-the table and the stations seen in each year, the parse holds one chunk
-of cells: lines are checked as they come, equal station, region and year
-values share one object, and the rainfall cells of up to `_CHUNK_ROWS`
-rows are converted together with Python's `float` into the matrix, which
-is allocated once.  The first error in file order is raised; a duplicate
-station-year finds the line it was first seen on by scanning the rows
-parsed before it.
+A file is parsed once, by one loop, into blocks of at most `_LABEL_ROWS`
+rows, each a `RainfallTable`: station, region and year columns, line
+numbers as 8-byte integers, an n×12 float64 matrix with NaN for a
+missing month, and the label column of a labeled file.  `parse_blocks`
+hands the blocks on one at a time; `parse_table` copies them into one
+table.  Every source is read as one binary stream, twice: the first pass
+decodes it in blocks of `_BLOCK_BYTES` through an incremental UTF-8
+decoder, checking the whole file and counting its line feeds and commas,
+which size `parse_table`'s matrix, so invalid UTF-8 is raised before any
+parse error; the second reads it line by line and decodes each line
+alone.  Beside that line, the block and the stations seen in each year,
+the parse holds one chunk of cells: lines are checked as they come,
+equal station, region and year values share one object, and the rainfall
+cells of up to `_CHUNK_ROWS` rows are converted together with Python's
+`float` into the block's matrix.  The first error in file order is
+raised when its block is parsed; a duplicate station-year finds the line
+it was first seen on by reading the stream again.
 `parse_rainfall_file`, `parse_labeled_file`, `StationYear` and `Dataset`
 are views built from the table, whose values reach them as Python floats.
 Instance rules (finite features, a positive finite weight) are checked
@@ -38,7 +40,8 @@ of records; the first row that fails is reported.  The kept rows are a
 Features keep their missing slots as missing even when the label was
 computed under the zero-fill policy; the tree learners route missing
 values explicitly.  The labeling functions alone reject input with
-nothing to label.
+nothing to label (`_check_labeled`, which a caller labeling block by
+block runs once, on the whole input).
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import (IO, Dict, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (IO, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -251,6 +254,11 @@ def _read(source: Union[str, bytes, IO]) -> Tuple[int, int, IO[bytes]]:
 #: found within its chunk.
 _CHUNK_ROWS = 1024
 
+#: Rows parsed, labeled and routed together: a parse hands its rows on a
+#: block at a time, and labeling classifies a longer table a block at a
+#: time.  It bounds classify_rows' copy of the rainfall and its masks,
+#: about 200 bytes a row, and the rows a command holds.
+_LABEL_ROWS = 4096
 
 @dataclass(frozen=True, eq=False)
 class RainfallTable:
@@ -366,25 +374,28 @@ def _row_key(fields: List[str], n_fields: int, lineno: int, shared: dict):
             shared.setdefault(year, year))
 
 
-def _duplicate(lineno: int, station: str, year: int, stations: List[str],
-               years: List[int], lines: Sequence[int]) -> DataError:
-    """DataError for the row on ``lineno`` repeating an earlier row's
-    station-year, which is looked up only now: the parse keeps no line
-    number beside the table's."""
-    first = next(line for s, y, line in zip(stations, years, lines)
-                 if y == year and s == station)
-    return DataError(f"line {lineno}: duplicate station-year {station!r}/{year} "
-                     f"(first seen on line {first})")
+def _first_seen(stream: IO[bytes], start: int, station: str, year: int) -> int:
+    """The line of the first row of ``station`` in ``year``, found by
+    reading the stream again from ``start``, where its header begins: the
+    parse holds the rows of one block, and this runs only when a
+    duplicate is reported."""
+    stream.seek(start)
+    lines = _content_lines(stream)
+    next(lines)  # the header
+    # Every line before the duplicate passed _row_key.
+    return next(lineno for lineno, line in lines
+                if (fields := line.split(","))[0].strip() == station
+                and int(fields[2].strip()) == year)
 
 
-def _parse_table(source: Union[str, bytes, IO],
-                 labeled: Optional[bool] = None) -> RainfallTable:
-    """The file's rows, checked line by line and converted a chunk at a
-    time; raw or labeled as ``labeled`` says, or as the header says when
-    it is None.  Invalid UTF-8 anywhere is raised first, then the first
-    error in file order; within a line the order is fields, station,
-    year, duplicate, cells by month, label."""
-    line_feeds, commas, stream = _read(source)
+def _blocks(stream: IO[bytes], labeled: Optional[bool]) -> Iterator[RainfallTable]:
+    """The rows of a stream from _read, checked line by line and converted
+    a chunk at a time, as tables of at most _LABEL_ROWS rows in file
+    order; a file without rows gives one empty table.  Raw or labeled as
+    ``labeled`` says, or as the header says when it is None.  The first
+    error in file order is raised when its block is parsed; within a line
+    the order is fields, station, year, duplicate, cells by month, label."""
+    start = stream.tell()
     lines = _content_lines(stream)
     lineno, header = next(lines, (0, None))
     if header is None:
@@ -396,56 +407,103 @@ def _parse_table(source: Union[str, bytes, IO],
     if header.strip() != expected:
         raise DataError(
             f"line {lineno}: malformed header, expected {expected!r}")
-    # Each row follows a line feed and holds at least the header's 14
-    # commas, which bounds the rows and sizes the matrix and the line
-    # numbers once.
-    rainfall = np.empty((min(line_feeds, commas // 14 - 1), 12))
-    linenos = np.empty(len(rainfall), dtype=np.int64)
-    stations: List[str] = []
-    regions: List[str] = []
-    years: List[int] = []
-    labels: Optional[List[str]] = [] if labeled else None
     # The stations of each year, for duplicates: the keys of a dict, which
     # stays smaller than a set as it grows (a set quadruples its table).
     seen: Dict[int, Dict[str, None]] = {}
     shared: dict = {}
-    converted = 0  # rows whose cells are in the matrix
-    cells: List[str] = []  # month cells of the rows not yet converted
+    for n_blocks in itertools.count():
+        rainfall = np.empty((_LABEL_ROWS, 12))
+        linenos = np.empty(_LABEL_ROWS, dtype=np.int64)
+        stations: List[str] = []
+        regions: List[str] = []
+        years: List[int] = []
+        labels: Optional[List[str]] = [] if labeled else None
+        converted = 0  # rows whose cells are in the matrix
+        cells: List[str] = []  # month cells of the rows not yet converted
+        for lineno, line in itertools.islice(lines, _LABEL_ROWS):
+            fields = line.split(",")
+            try:
+                station, region, year = _row_key(fields, n_fields, lineno, shared)
+                # A file has few years, and often one year per station.
+                in_year = seen.get(year)
+                if in_year is None:
+                    in_year = seen[year] = {}
+                elif station in in_year:
+                    first = _first_seen(stream, start, station, year)
+                    raise DataError(f"line {lineno}: duplicate station-year "
+                                    f"{station!r}/{year} (first seen on line {first})")
+                in_year[station] = None
+                linenos[len(stations)] = lineno
+                stations.append(station)
+                regions.append(region)
+                years.append(year)
+                cells += fields[3:15]
+                if labeled:
+                    label = fields[15].strip()
+                    if label not in CLASS_DOMAIN:
+                        raise DataError(
+                            f"line {lineno}: unknown climate class {label!r}")
+                    labels.append(label)
+            except DataError:
+                # A bad cell on an earlier line, or earlier on this one, comes first.
+                _fill_rainfall(rainfall, converted, cells, linenos, stations)
+                raise
+            if len(cells) == 12 * _CHUNK_ROWS:
+                _fill_rainfall(rainfall, converted, cells, linenos, stations)
+                converted += _CHUNK_ROWS
+                cells = []
+        _fill_rainfall(rainfall, converted, cells, linenos, stations)
+        n_rows = len(stations)
+        if n_rows or not n_blocks:
+            linenos.flags.writeable = False
+            yield RainfallTable(stations, regions, years,
+                                memoryview(linenos[:n_rows]), rainfall[:n_rows],
+                                labels)
+        if n_rows < _LABEL_ROWS:
+            return
+        # A consumer that lets a block go frees it before the next is made.
+        del rainfall, linenos, stations, regions, years, labels
 
-    for lineno, line in lines:
-        fields = line.split(",")
-        try:
-            station, region, year = _row_key(fields, n_fields, lineno, shared)
-            # A file has few years, and often one year per station.
-            in_year = seen.get(year)
-            if in_year is None:
-                in_year = seen[year] = {}
-            elif station in in_year:
-                raise _duplicate(lineno, station, year, stations, years, linenos)
-            in_year[station] = None
-            linenos[len(stations)] = lineno
-            stations.append(station)
-            regions.append(region)
-            years.append(year)
-            cells += fields[3:15]
-            if labeled:
-                label = fields[15].strip()
-                if label not in CLASS_DOMAIN:
-                    raise DataError(
-                        f"line {lineno}: unknown climate class {label!r}")
-                labels.append(label)
-        except DataError:
-            # A bad cell on an earlier line, or earlier on this one, comes first.
-            _fill_rainfall(rainfall, converted, cells, linenos, stations)
-            raise
-        if len(cells) == 12 * _CHUNK_ROWS:
-            _fill_rainfall(rainfall, converted, cells, linenos, stations)
-            converted += _CHUNK_ROWS
-            cells = []
-    _fill_rainfall(rainfall, converted, cells, linenos, stations)
+
+def parse_blocks(source: Union[str, bytes, IO]) -> Iterator[RainfallTable]:
+    """A rainfall file, raw or labeled (its header says which), as tables
+    of at most _LABEL_ROWS rows in file order, the next parsed as the last
+    is handed on; a file without rows gives one empty table.  The source's
+    UTF-8 is checked, whole, when this is called; each other error is
+    raised, as parse_table raises it, when the block that holds it is
+    reached."""
+    _line_feeds, _commas, stream = _read(source)
+    return _blocks(stream, None)
+
+
+def _parse_table(source: Union[str, bytes, IO],
+                 labeled: Optional[bool] = None) -> RainfallTable:
+    """The file's blocks, copied into one table.  Invalid UTF-8 anywhere
+    is raised first, then the first error in file order."""
+    line_feeds, commas, stream = _read(source)
+    # Each row follows a line feed and holds at least the header's 14
+    # commas, which bounds the rows and sizes the matrix and the line
+    # numbers once.
+    size = max(0, min(line_feeds, commas // 14 - 1))
+    rainfall = np.empty((size, 12))
+    linenos = np.empty(size, dtype=np.int64)
+    stations: List[str] = []
+    regions: List[str] = []
+    years: List[int] = []
+    labels: List[str] = []
+    for block in _blocks(stream, labeled):
+        rows = slice(len(stations), len(stations) + len(block))
+        rainfall[rows] = block.rainfall
+        linenos[rows] = block.lines
+        stations += block.stations
+        regions += block.regions
+        years += block.years
+        has_labels = block.labels is not None
+        labels += block.labels or ()
+        del block  # freed before the next block is made
     linenos.flags.writeable = False
     return RainfallTable(stations, regions, years, memoryview(linenos[:len(stations)]),
-                         rainfall[:len(stations)], labels)
+                         rainfall[:len(stations)], labels if has_labels else None)
 
 
 def parse_table(source: Union[str, bytes, IO]) -> RainfallTable:
@@ -465,9 +523,12 @@ def parse_labeled_file(source: Union[str, bytes, IO]) -> List[Tuple[StationYear,
 
 
 def sniff_labeled(source: Union[str, bytes, IO]) -> bool:
-    """True when the first content line is the labeled-file header."""
+    """True when the first content line is the labeled-file header.  A
+    seekable buffered binary stream is left where it stood."""
     _line_feeds, _commas, stream = _read(source)
+    start = stream.tell()
     _lineno, header = next(_content_lines(stream), (0, ""))
+    stream.seek(start)
     return header.strip() == LABELED_HEADER
 
 
@@ -502,11 +563,6 @@ def write_rainfall_file(records: Iterable[StationYear]) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Rows classified together.  It bounds classify_rows' copy of the
-#: rainfall and its masks, about 200 bytes a row, to one block of rows.
-_LABEL_ROWS = 4096
-
-
 def _label_rows(rainfall: np.ndarray, missing: Optional[np.ndarray],
                 policy: MissingPolicy, stations: Sequence[str],
                 years: Sequence[int]):
@@ -515,10 +571,9 @@ def _label_rows(rainfall: np.ndarray, missing: Optional[np.ndarray],
     The indices are ``range(n)`` when every row is kept, else a list.
     ``missing`` marks the missing months, or is None when NaN marks
     them.  Blocks of _LABEL_ROWS rows are classified in file order, so
-    the first row that fails is the one reported.
+    the first row that fails is the one reported.  Keeping no row is not
+    an error here: _check_labeled judges the whole input.
     """
-    if not stations:
-        raise DataError("no station records to label")
     rows: Optional[List[int]] = None  # None until the policy skips a row
     types: List[ClimateType] = []
     for first in range(0, len(rainfall), _LABEL_ROWS):
@@ -536,9 +591,16 @@ def _label_rows(rainfall: np.ndarray, missing: Optional[np.ndarray],
         if rows is not None:
             rows += itertools.compress(range(first, first + len(found)), found)
         types += filter(None, found)
-    if not types:
-        raise DataError("all stations were skipped by the missing-data policy")
     return range(len(types)) if rows is None else rows, types
+
+
+def _check_labeled(n_rows: int, n_kept: int) -> None:
+    """DataError for input with nothing to label: no rows, or no row the
+    missing-data policy keeps."""
+    if not n_rows:
+        raise DataError("no station records to label")
+    if not n_kept:
+        raise DataError("all stations were skipped by the missing-data policy")
 
 
 def label_table(
@@ -548,7 +610,10 @@ def label_table(
     """(row indices, Oldeman types) of the rows the policy keeps, in file
     order: ``range(len(table))`` when it keeps them all, else a list.
     Raises DataError as label_records does."""
-    return _label_rows(table.rainfall, None, policy, table.stations, table.years)
+    rows, types = _label_rows(table.rainfall, None, policy, table.stations,
+                              table.years)
+    _check_labeled(len(table), len(types))
+    return rows, types
 
 
 def label_records(
@@ -564,6 +629,7 @@ def label_records(
     rows, types = _label_rows(
         *rainfall_matrix([rec.rainfall for rec in records]), policy,
         [rec.station_id for rec in records], [rec.year for rec in records])
+    _check_labeled(len(records), len(types))
     return [(records[i], climate) for i, climate in zip(rows, types)]
 
 
@@ -664,12 +730,11 @@ class CountTable:
         return sum(self.class_totals)
 
 
-def count_table(labels: Sequence[str], regions: Sequence[str],
-                classes: Sequence[str] = CLASS_DOMAIN) -> CountTable:
-    """Class-by-region counts of parallel label and region columns,
-    regions in order of first appearance, zero-filled for absent classes."""
-    order = tuple(dict.fromkeys(regions))
-    tally = Counter(zip(labels, regions))
+def count_table(tally: Counter, classes: Sequence[str] = CLASS_DOMAIN) -> CountTable:
+    """Class-by-region counts of a Counter of (class, region) pairs,
+    regions in the order the tally first met them, zero-filled for absent
+    classes."""
+    order = tuple(dict.fromkeys(region for _cls, region in tally))
     return CountTable(tuple(classes), order,
                       tuple(tuple(tally[cls, region] for region in order)
                             for cls in classes))
@@ -677,6 +742,5 @@ def count_table(labels: Sequence[str], regions: Sequence[str],
 
 def count_by_type_region(dataset: Dataset) -> CountTable:
     """Full class-by-region count table, zero-filled for absent classes."""
-    return count_table([inst.label for inst in dataset.instances],
-                       [inst.region for inst in dataset.instances],
+    return count_table(Counter((inst.label, inst.region) for inst in dataset.instances),
                        dataset.class_domain)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 from croptree import Dataset, LabeledInstance, StationYear
+from croptree.dataset import RAINFALL_HEADER
 from croptree.trees import _block_scores, _root, _small_candidates
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -39,6 +40,20 @@ def make_stations(n=75, seed=7, year=2013):
         region = "DKI Jakarta" if i % 2 else "Banten"
         records.append(StationYear(f"ST{i:03d}", region, year, rainfall))
     return records
+
+
+def memory_text(n_stations, n_rows=20_000):
+    """A raw rainfall file of n_rows rows in 16 regions with 2% of months
+    missing: n_stations stations of n_rows / n_stations years each."""
+    rng = random.Random(0)
+    years = n_rows // n_stations
+    lines = [RAINFALL_HEADER]
+    for s in range(n_stations):
+        for y in range(years):
+            cells = ["" if rng.random() < 0.02 else f"{rng.uniform(0, 400):.1f}"
+                     for _ in range(12)]
+            lines.append(f"S{s:05d},R{s % 16:02d},{1971 + y}," + ",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 def random_dataset(rng, max_instances=25, n_attrs=4, classes=("X", "Y", "Z"),

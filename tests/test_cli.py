@@ -12,6 +12,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +22,11 @@ from croptree import (ALGORITHMS, CLASS_DOMAIN, CroppingPattern, Dataset,
                       LabeledInstance, StationYear, TrainParams, cli,
                       label_dataset, label_records, pattern_for_label,
                       save_model, train, write_rainfall_file)
+from croptree import dataset as dataset_module
 from croptree.cli import main
 from croptree.dataset import LABELED_HEADER, RAINFALL_HEADER
 from croptree.evaluation import INDICATOR_ROWS
-from support import SRC, make_stations, run_bounded
+from support import SRC, make_stations, memory_text, run_bounded
 
 
 @pytest.fixture()
@@ -564,12 +566,12 @@ class _FullDisk:
 
 
 class TestStreamedOutput:
-    """oldeman and recommend write their CSV a block of lines at a time
-    (10 lines a block here, so the 75-station file takes several)."""
+    """oldeman and recommend write their CSV a block of rows at a time
+    (10 rows a block here, so the 75-station file takes several)."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(cli, "_BLOCK_LINES", 10)
+        monkeypatch.setattr(dataset_module, "_LABEL_ROWS", 10)
 
     @pytest.mark.parametrize("command", ["oldeman", "recommend"])
     def test_write_error_after_the_first_block(self, tmp_path, rain_csv,
@@ -602,6 +604,110 @@ class TestStreamedOutput:
         printed = capsys.readouterr().out
         assert printed.encode("utf-8") == out.read_bytes()
         assert printed.count("\n") == 76
+
+
+_ROW = "300,280,310,250,220,180,90,40,60,120,210,260"
+
+
+class TestBlockPipeline:
+    """oldeman and recommend parse, label or route and write a block of
+    rows at a time (two rows a block here).  A parse error anywhere still
+    comes first, and a failing command writes nothing."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(dataset_module, "_LABEL_ROWS", 2)
+
+    @staticmethod
+    def _file(tmp_path, rows, header=RAINFALL_HEADER):
+        src = tmp_path / "in.csv"
+        src.write_text("\n".join([header, "# notes"] + rows) + "\n", encoding="utf-8")
+        return src
+
+    def _fails(self, tmp_path, capsys, argv, expected):
+        """Run ``argv`` with ``-o`` on an existing file: exit 2, stderr
+        ``expected``, and the file and its directory as they were."""
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"precious\n")
+        assert main(argv + ["-o", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert out.read_bytes() == b"precious\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("gap_row", [0, 3])
+    def test_a_parse_error_beats_an_earlier_label_error(self, tmp_path, capsys,
+                                                        gap_row):
+        # A missing June in block 1 or 2, and a short row in block 3 (line 8).
+        rows = [f"S{k},R,2013,{_ROW}" for k in range(6)]
+        rows[gap_row] = rows[gap_row].replace(",180,", ",,")
+        src = self._file(tmp_path, rows)
+        argv = ["oldeman", str(src), "--missing-policy", "error"]
+        self._fails(tmp_path, capsys, argv,
+                    f"{src}: station 'S{gap_row}' year 2013: missing rainfall for jun")
+        rows[5] = "S5,R,2013,1,2"
+        self._file(tmp_path, rows)
+        self._fails(tmp_path, capsys, argv, f"{src}: line 8: expected 15 fields, got 5")
+
+    def test_a_parse_error_beats_already_labeled(self, tmp_path, capsys):
+        rows = [f"S{k},R,2013,{_ROW},A1" for k in range(6)]
+        src = self._file(tmp_path, rows, LABELED_HEADER)
+        self._fails(tmp_path, capsys, ["oldeman", str(src)],
+                    f"{src}: already labeled; expected a raw rainfall file")
+        rows[4] = rows[4].replace(",A1", ",Z9")
+        self._file(tmp_path, rows, LABELED_HEADER)
+        self._fails(tmp_path, capsys, ["oldeman", str(src)],
+                    f"{src}: line 7: unknown climate class 'Z9'")
+
+    def test_a_duplicate_two_blocks_on_names_its_first_line(self, tmp_path,
+                                                            capsys):
+        rows = [f"S{k},R,2013,{_ROW}" for k in (0, 1, 2, 3, 4, 0)]
+        src = self._file(tmp_path, rows)
+        self._fails(tmp_path, capsys, ["oldeman", str(src)],
+                    f"{src}: line 8: duplicate station-year 'S0'/2013 "
+                    "(first seen on line 3)")
+
+    def test_recommend_to_stdout_prints_nothing_on_a_later_error(
+            self, tmp_path, model_txt, capsys):
+        rows = [f"S{k},R,2013,{_ROW}" for k in range(5)] + ["S5,R,20x3," + _ROW]
+        src = self._file(tmp_path, rows)
+        assert main(["recommend", model_txt, str(src)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {src}: line 8: non-integer year '20x3'\n")
+
+
+def _traced_peak(argv):
+    """The tracemalloc peak, in bytes, of main(argv), which must succeed."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def memory_files(tmp_path_factory):
+    """Raw files of 20,000 and 80,000 rows of 800 stations."""
+    directory = tmp_path_factory.mktemp("memory")
+    files = [directory / f"rain{n_rows}.csv" for n_rows in (20_000, 80_000)]
+    for path, n_rows in zip(files, (20_000, 80_000)):
+        path.write_text(memory_text(800, n_rows), encoding="utf-8")
+    return files
+
+
+@pytest.mark.parametrize("command", ["oldeman", "recommend"])
+def test_streamed_commands_grow_by_the_stations_seen(tmp_path, model_txt, capsys,
+                                                      memory_files, command):
+    # From 20,000 to 80,000 rows the peak grows by about 33 bytes a row,
+    # nearly all of it the stations seen in each year.  A command that
+    # held the parsed table grew by 163.
+    peaks = []
+    for src in memory_files:
+        inputs = [str(src)] if command == "oldeman" else [model_txt, str(src)]
+        peaks.append(_traced_peak([command, *inputs, "-o", str(tmp_path / "out.csv")]))
+        capsys.readouterr()
+    growth = (peaks[1] - peaks[0]) / 60_000
+    assert growth <= 60, f"{growth:.0f} B/row"
 
 
 def _output_argv(command, rain_csv, model_txt, out):

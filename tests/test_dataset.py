@@ -1,7 +1,6 @@
 import gc
 import io
 import math
-import random
 import re
 import tracemalloc
 from collections import Counter
@@ -23,6 +22,7 @@ from croptree.dataset import (LABELED_HEADER, RAINFALL_HEADER, dataset_from_tabl
                               label_table, parse_table, sniff_labeled)
 
 import reference_parser
+from support import memory_text
 
 HEADER = "station,region,year,jan,feb,mar,apr,may,jun,jul,aug,sep,oct,nov,dec"
 
@@ -728,6 +728,40 @@ def test_a_duplicate_names_a_first_line_chunks_and_blocks_back(bad_cell):
         assert str(raised.value) == expected
 
 
+@pytest.mark.parametrize("labeled", [False, True])
+@pytest.mark.parametrize("n_rows, sizes", [(0, [0]), (1, [1]), (6, [3, 3]),
+                                           (7, [3, 3, 1])])
+def test_blocks_are_the_table_a_block_of_rows_at_a_time(labeled, n_rows, sizes):
+    # Three rows a block: a file without rows is one empty block, and one
+    # of six rows two full blocks, with no empty block after them.
+    text = "\n".join(_long_lines(labeled, n_rows)) + "\n"
+    with mock.patch.object(dataset_module, "_LABEL_ROWS", 3):
+        blocks = list(dataset_module.parse_blocks(text))
+        table = parse_table(text)
+    assert [len(block) for block in blocks] == sizes
+    for name in ("stations", "regions", "years", "lines"):
+        assert [v for block in blocks for v in getattr(block, name)] == list(
+            getattr(table, name)), name
+    np.testing.assert_array_equal(np.concatenate([b.rainfall for b in blocks]),
+                                  table.rainfall)
+    if labeled:
+        assert [v for block in blocks for v in block.labels] == table.labels
+    else:
+        assert {block.labels for block in blocks} == {table.labels} == {None}
+
+
+def test_blocks_before_an_error_are_handed_on_first():
+    # Three rows a block; the seventh row, alone in the third block, has a
+    # bad cell, and its line number counts the blank and comment lines.
+    lines = _long_lines(False, 7)
+    lines[-1] = lines[-1].replace(",300,", ",-3,", 1)
+    with mock.patch.object(dataset_module, "_LABEL_ROWS", 3):
+        blocks = dataset_module.parse_blocks("\n".join(lines) + "\n")
+        assert [len(next(blocks)), len(next(blocks))] == [3, 3]
+        with pytest.raises(DataError, match=f"^line {len(lines)}: negative"):
+            next(blocks)
+
+
 @pytest.mark.parametrize("label, cells, expected", [
     ("Z9", "300,-5,abc", "line 2: negative or non-finite rainfall -5"),
     ("Z9", "300,nan,abc", "line 2: negative or non-finite rainfall nan"),
@@ -846,6 +880,18 @@ def test_a_callers_stream_stays_open(tmp_path):
             assert stream.read() == SAMPLE.encode()
 
 
+def test_sniffing_leaves_a_seekable_stream_where_it_stood(tmp_path):
+    data = ("# notes\n" + SAMPLE).encode()
+    path = tmp_path / "rain.csv"
+    path.write_bytes(data)
+    with open(path, "rb") as fh:
+        for stream in (fh, io.BytesIO(data)):
+            stream.readline()
+            assert not sniff_labeled(stream)
+            assert stream.tell() == len(b"# notes\n")
+            assert parse_table(stream).records() == parse_rainfall_file(SAMPLE)
+
+
 def test_an_unbuffered_file_parses_as_its_bytes(tmp_path):
     path = tmp_path / "rain.csv"
     path.write_bytes(("\ufeff" + SAMPLE.replace("\n", "\r\n")).encode())
@@ -943,20 +989,6 @@ def test_parsed_values_are_python_floats():
     assert repr(records[0].rainfall[:2]) == "(3.0, None)"
 
 
-def _memory_text(n_stations):
-    """20,000 rows in 16 regions with 2% of months missing: n_stations
-    stations of 20,000 / n_stations years each."""
-    rng = random.Random(0)
-    years = 20_000 // n_stations
-    lines = [HEADER]
-    for s in range(n_stations):
-        for y in range(years):
-            cells = ["" if rng.random() < 0.02 else f"{rng.uniform(0, 400):.1f}"
-                     for _ in range(12)]
-            lines.append(f"S{s:05d},R{s % 16:02d},{1971 + y}," + ",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def _traced_parse(text):
     """(table, bytes traced as it ends, peak bytes) of parse_table."""
     tracemalloc.start()
@@ -970,14 +1002,15 @@ def _traced_parse(text):
 
 # parse_table's peak allocation beyond the text it is given, in bytes per
 # row, on 20,000 rows: 800 stations of 25 years, or 20,000 stations of
-# one year.  It measures about 230 and 300: the table (133, or 185 when no
-# two rows share a station), the stations seen per year (about 35) and one
-# chunk of cells (about 60 spread over 20,000 rows).  A parse holding a
-# list of every line, a key object per row or a second copy of the matrix
-# took about 690 on both.
+# one year.  It measures about 335 and 400: the table (133, or 185 when no
+# two rows share a station), the stations seen per year (about 35), one
+# chunk of cells and the block of 4,096 rows being copied into the table
+# (about 20 spread over 20,000 rows).  A parse holding a list of every
+# line, a key object per row or a second copy of the matrix took about
+# 690 on both.
 @pytest.mark.parametrize("n_stations, bound", [(800, 350), (20_000, 420)])
 def test_parse_memory_is_the_table_and_one_chunk(n_stations, bound):
-    table, _current, peak = _traced_parse(_memory_text(n_stations))
+    table, _current, peak = _traced_parse(memory_text(n_stations))
     assert len(table) == 20_000
     assert peak <= bound * len(table), f"{peak / len(table):.0f} B/row"
     # Equal values share one object.
@@ -992,5 +1025,5 @@ def test_parsed_table_holds_no_object_a_row():
     # of rainfall, a pointer in each of the three key columns and 8 bytes
     # of line number, about 133 in all.  A Python int a row for the line
     # number made it 165.
-    table, kept, _peak = _traced_parse(_memory_text(800))
+    table, kept, _peak = _traced_parse(memory_text(800))
     assert kept <= 150 * len(table), f"{kept / len(table):.0f} B/row"
