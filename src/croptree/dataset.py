@@ -33,10 +33,11 @@ width, labels, finite total weight) by `Dataset`, whose derived columns
 are all that training reads, so training never checks an instance again.
 
 Labeling attaches an Oldeman class to every station-year: `label_table`
-labels a table's matrix `_LABEL_ROWS` rows at a time
-(`climate.classify_rows`), and `label_records` does the same for a list
-of records; the first row that fails is reported.  The kept rows are a
-`range` until the policy skips one, and a list of indices after.
+labels a table's matrix in one `climate.classify_rows` call, and
+`label_records` does the same for a list of records; the first row that
+fails is reported.  The kept rows are a `range` when the policy keeps
+them all, else a list of indices.  `dataset_from_table` builds its
+instances straight from the table's columns.
 Features keep their missing slots as missing even when the label was
 computed under the zero-fill policy; the tree learners route missing
 values explicitly.  The labeling functions alone reject input with
@@ -254,10 +255,9 @@ def _read(source: Union[str, bytes, IO]) -> Tuple[int, int, IO[bytes]]:
 #: found within its chunk.
 _CHUNK_ROWS = 1024
 
-#: Rows parsed, labeled and routed together: a parse hands its rows on a
-#: block at a time, and labeling classifies a longer table a block at a
-#: time.  It bounds classify_rows' copy of the rainfall and its masks,
-#: about 200 bytes a row, and the rows a command holds.
+#: Rows a parse hands on together, which oldeman labels and recommend
+#: routes as one block.  It bounds the rows a streamed command holds and
+#: classify_rows' copy of their rainfall and masks, about 200 bytes a row.
 _LABEL_ROWS = 4096
 
 @dataclass(frozen=True, eq=False)
@@ -566,32 +566,27 @@ def write_rainfall_file(records: Iterable[StationYear]) -> str:
 def _label_rows(rainfall: np.ndarray, missing: Optional[np.ndarray],
                 policy: MissingPolicy, stations: Sequence[str],
                 years: Sequence[int]):
-    """(kept row indices, their ClimateTypes); errors name the station.
+    """(kept row indices, their ClimateTypes) of the rows given, a parser
+    block or a whole table, in one classify_rows call; the first row that
+    fails is reported by station and year.
 
     The indices are ``range(n)`` when every row is kept, else a list.
     ``missing`` marks the missing months, or is None when NaN marks
-    them.  Blocks of _LABEL_ROWS rows are classified in file order, so
-    the first row that fails is the one reported.  Keeping no row is not
-    an error here: _check_labeled judges the whole input.
+    them.  Keeping no row is not an error here: _check_labeled judges the
+    whole input.
     """
-    rows: Optional[List[int]] = None  # None until the policy skips a row
-    types: List[ClimateType] = []
-    for first in range(0, len(rainfall), _LABEL_ROWS):
-        block = rainfall[first:first + _LABEL_ROWS]
-        try:
-            found = classify_rows(block, np.isnan(block) if missing is None
-                                  else missing[first:first + _LABEL_ROWS], policy)
-        except RowError as exc:
-            row = first + exc.row
-            raise DataError(f"station {stations[row]!r} year "
-                            f"{years[row]}: {exc}") from None
-        # None marks a row the policy skips; every ClimateType is true.
-        if rows is None and not all(found):
-            rows = list(range(first))
-        if rows is not None:
-            rows += itertools.compress(range(first, first + len(found)), found)
-        types += filter(None, found)
-    return range(len(types)) if rows is None else rows, types
+    try:
+        found = classify_rows(rainfall, np.isnan(rainfall) if missing is None
+                              else missing, policy)
+    except RowError as exc:
+        raise DataError(f"station {stations[exc.row]!r} year "
+                        f"{years[exc.row]}: {exc}") from None
+    # None marks a row the policy skips; every ClimateType is true.
+    types = list(filter(None, found))
+    rows = range(len(found))
+    if len(types) < len(found):
+        rows = list(itertools.compress(rows, found))
+    return rows, types
 
 
 def _check_labeled(n_rows: int, n_kept: int) -> None:
@@ -646,34 +641,37 @@ def label_dataset(
                                for rec, climate in label_records(records, policy)])
 
 
+def _dataset(rows: Iterable[tuple]) -> Dataset:
+    """Dataset of one instance per (station, region, year, features, class
+    code) row, its provenance ``station:year``; DataError for no row."""
+    instances = tuple(
+        LabeledInstance(features, label, 1.0, f"{station}:{year}", region)
+        for station, region, year, features, label in rows)
+    if not instances:
+        raise DataError("no labeled records")
+    return Dataset(MONTH_NAMES, CLASS_DOMAIN, instances)
+
+
 def dataset_from_pairs(pairs: Sequence[Tuple[StationYear, str]]) -> Dataset:
     """Dataset from pre-labeled (record, class code) pairs."""
-    if not pairs:
-        raise DataError("no labeled records")
-    instances = tuple(
-        LabeledInstance(
-            features=rec.rainfall,
-            label=label,
-            weight=1.0,
-            provenance_id=f"{rec.station_id}:{rec.year}",
-            region=rec.region,
-        )
-        for rec, label in pairs)
-    return Dataset(MONTH_NAMES, CLASS_DOMAIN, instances)
+    return _dataset((rec.station_id, rec.region, rec.year, rec.rainfall, label)
+                    for rec, label in pairs)
 
 
 def dataset_from_table(
     table: RainfallTable,
     policy: MissingPolicy = MissingPolicy.ZERO_FILL,
 ) -> Dataset:
-    """The table's rows as a Dataset: its labels when it has them, else
-    the Oldeman labels of the rows the policy keeps (label_table)."""
-    records = table.records()
+    """The table's rows as a Dataset, built from its columns: its labels
+    when it has them, else the Oldeman labels of the rows the policy keeps
+    (label_table), found before any feature tuple is built."""
     if table.labels is not None:
-        return dataset_from_pairs(list(zip(records, table.labels)))
+        return _dataset(zip(table.stations, table.regions, table.years,
+                            table.features(), table.labels))
     rows, types = label_table(table, policy)
-    return dataset_from_pairs([(records[i], climate.label)
-                               for i, climate in zip(rows, types)])
+    features = table.features()
+    return _dataset((table.stations[i], table.regions[i], table.years[i],
+                     features[i], climate.label) for i, climate in zip(rows, types))
 
 
 def complete_subset(dataset: Dataset) -> Dataset:

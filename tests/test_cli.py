@@ -595,6 +595,20 @@ class TestStreamedOutput:
         assert out.read_bytes() == b"precious\n"
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_no_room_for_the_spool(self, rain_csv, model_txt, monkeypatch,
+                                   capsys):
+        # Without -o the CSV is spooled to a temporary file first, and a
+        # temporary directory with no room is a data error that prints no row.
+        def full_disk(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", full_disk)
+        assert main(["recommend", model_txt, rain_csv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: cannot write a temporary file in "
+                       f"{tempfile.gettempdir()}: No space left on device\n")
+
     def test_recommend_prints_the_bytes_it_writes(self, tmp_path, rain_csv,
                                                  model_txt, capsys):
         out = tmp_path / "recs.csv"

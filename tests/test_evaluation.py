@@ -28,6 +28,13 @@ def _n_correct_matrix(correct, total):
     return _matrix([[correct, total - correct], [0, 0]])
 
 
+@pytest.mark.parametrize("grid", [[[1, 0]], [[1, 0], [0]], [[1], [0]]])
+def test_confusion_matrix_must_be_square(grid):
+    with pytest.raises(ValueError, match="^confusion matrix must be square "
+                                         "over the class domain$"):
+        ConfusionMatrix(("c0", "c1"), tuple(tuple(row) for row in grid))
+
+
 class TestAccuracy:
     @pytest.mark.parametrize("correct,total,expected", [
         (36, 75, 48.00),
@@ -49,6 +56,10 @@ class TestAccuracy:
 class TestKappa:
     def test_perfect_diagonal(self):
         assert kappa(_matrix([[5, 0], [0, 7]])) == 1.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="^cannot compute kappa of an empty matrix$"):
+            kappa(_matrix([[0, 0], [0, 0]]))
 
     def test_hand_computed(self):
         assert kappa(_matrix([[20, 5], [10, 15]])) == pytest.approx(0.4)
