@@ -18,13 +18,13 @@ decodes it in blocks of `_BLOCK_BYTES` through an incremental UTF-8
 decoder, checking the whole file and counting its line feeds and commas,
 which size `parse_table`'s matrix, so invalid UTF-8 is raised before any
 parse error; the second reads it line by line and decodes each line
-alone.  Beside that line, the block and the stations seen in each year,
-the parse holds one chunk of cells: lines are checked as they come,
-equal station, region and year values share one object, and the rainfall
-cells of up to `_CHUNK_ROWS` rows are converted together with Python's
-`float` into the block's matrix.  The first error in file order is
-raised when its block is parsed; a duplicate station-year finds the line
-it was first seen on by reading the stream again.
+alone.  Beside that line, the parse holds one block and the stations
+seen in each year: lines are checked as they come, equal station, region
+and year values share one object, and a block's rainfall cells are
+converted together with Python's `float` into its matrix when the block
+ends.  The first error in file order is raised when its block is parsed;
+a duplicate station-year finds the line it was first seen on by reading
+the stream again.
 `parse_rainfall_file`, `parse_labeled_file`, `StationYear` and `Dataset`
 are views built from the table, whose values reach them as Python floats.
 Instance rules (finite features, a positive finite weight) are checked
@@ -250,15 +250,12 @@ def _read(source: Union[str, bytes, IO]) -> Tuple[int, int, IO[bytes]]:
     return line_feeds, commas, source
 
 
-#: Rows whose rainfall cells are converted together.  It bounds the cell
-#: strings and floats alive at once, about 1.1 kB a row; a bad cell is
-#: found within its chunk.
-_CHUNK_ROWS = 1024
-
 #: Rows a parse hands on together, which oldeman labels and recommend
-#: routes as one block.  It bounds the rows a streamed command holds and
-#: classify_rows' copy of their rainfall and masks, about 200 bytes a row.
-_LABEL_ROWS = 4096
+#: routes as one block.  It bounds the rows a streamed command holds: the
+#: block's rainfall cell strings, alive until the block is converted
+#: (about 1.1 kB a row), and classify_rows' copy of its rainfall and
+#: masks (about 200 bytes a row).
+_LABEL_ROWS = 1024
 
 @dataclass(frozen=True, eq=False)
 class RainfallTable:
@@ -305,18 +302,18 @@ def _cell_values(cells: List[str]) -> List[float]:
     return [float(text) if (text := cell.strip()) else math.nan for cell in cells]
 
 
-def _fill_rainfall(out: np.ndarray, first_row: int, cells: List[str],
-                   lines: Sequence[int], stations: List[str]) -> None:
-    """Write the rainfall of the rows whose month cells ``cells`` holds, 12
-    a row, into ``out`` from row ``first_row`` on, NaN for an empty cell.
+def _block_rainfall(cells: List[str], lines: Sequence[int],
+                    stations: List[str]) -> np.ndarray:
+    """The n×12 rainfall matrix of the rows whose month cells ``cells``
+    holds, 12 a row, NaN for an empty cell.
 
     DataError for the first bad cell in file order: text that is not a
     number, or a number below zero or not finite.
     """
     def error(i: int, what: str) -> DataError:
         row, month = divmod(i, 12)
-        return DataError(f"line {lines[first_row + row]}: {what} for station "
-                         f"{stations[first_row + row]!r} month {MONTH_NAMES[month]}")
+        return DataError(f"line {lines[row]}: {what} for station "
+                         f"{stations[row]!r} month {MONTH_NAMES[month]}")
 
     end = len(cells)
     try:
@@ -336,7 +333,7 @@ def _fill_rainfall(out: np.ndarray, first_row: int, cells: List[str],
             raise error(i, f"negative or non-finite rainfall {cells[i].strip()}")
     if end < len(cells):
         raise error(end, f"non-numeric rainfall {cells[end].strip()!r}")
-    out[first_row:first_row + len(block) // 12] = block.reshape(-1, 12)
+    return block.reshape(-1, 12)
 
 
 def _content_lines(stream: IO[bytes]):
@@ -389,9 +386,9 @@ def _first_seen(stream: IO[bytes], start: int, station: str, year: int) -> int:
 
 
 def _blocks(stream: IO[bytes], labeled: Optional[bool]) -> Iterator[RainfallTable]:
-    """The rows of a stream from _read, checked line by line and converted
-    a chunk at a time, as tables of at most _LABEL_ROWS rows in file
-    order; a file without rows gives one empty table.  Raw or labeled as
+    """The rows of a stream from _read, checked line by line, as tables of
+    at most _LABEL_ROWS rows in file order, each converted whole when it
+    ends; a file without rows gives one empty table.  Raw or labeled as
     ``labeled`` says, or as the header says when it is None.  The first
     error in file order is raised when its block is parsed; within a line
     the order is fields, station, year, duplicate, cells by month, label."""
@@ -412,14 +409,12 @@ def _blocks(stream: IO[bytes], labeled: Optional[bool]) -> Iterator[RainfallTabl
     seen: Dict[int, Dict[str, None]] = {}
     shared: dict = {}
     for n_blocks in itertools.count():
-        rainfall = np.empty((_LABEL_ROWS, 12))
-        linenos = np.empty(_LABEL_ROWS, dtype=np.int64)
+        linenos: List[int] = []
         stations: List[str] = []
         regions: List[str] = []
         years: List[int] = []
         labels: Optional[List[str]] = [] if labeled else None
-        converted = 0  # rows whose cells are in the matrix
-        cells: List[str] = []  # month cells of the rows not yet converted
+        cells: List[str] = []  # month cells, 12 a row
         for lineno, line in itertools.islice(lines, _LABEL_ROWS):
             fields = line.split(",")
             try:
@@ -433,7 +428,7 @@ def _blocks(stream: IO[bytes], labeled: Optional[bool]) -> Iterator[RainfallTabl
                     raise DataError(f"line {lineno}: duplicate station-year "
                                     f"{station!r}/{year} (first seen on line {first})")
                 in_year[station] = None
-                linenos[len(stations)] = lineno
+                linenos.append(lineno)
                 stations.append(station)
                 regions.append(region)
                 years.append(year)
@@ -446,19 +441,16 @@ def _blocks(stream: IO[bytes], labeled: Optional[bool]) -> Iterator[RainfallTabl
                     labels.append(label)
             except DataError:
                 # A bad cell on an earlier line, or earlier on this one, comes first.
-                _fill_rainfall(rainfall, converted, cells, linenos, stations)
+                _block_rainfall(cells, linenos, stations)
                 raise
-            if len(cells) == 12 * _CHUNK_ROWS:
-                _fill_rainfall(rainfall, converted, cells, linenos, stations)
-                converted += _CHUNK_ROWS
-                cells = []
-        _fill_rainfall(rainfall, converted, cells, linenos, stations)
+        rainfall = _block_rainfall(cells, linenos, stations)
+        del cells  # freed before the block is handed on
         n_rows = len(stations)
         if n_rows or not n_blocks:
-            linenos.flags.writeable = False
-            yield RainfallTable(stations, regions, years,
-                                memoryview(linenos[:n_rows]), rainfall[:n_rows],
-                                labels)
+            yield RainfallTable(
+                stations, regions, years,
+                memoryview(np.array(linenos, dtype=np.int64)).toreadonly(),
+                rainfall, labels)
         if n_rows < _LABEL_ROWS:
             return
         # A consumer that lets a block go frees it before the next is made.

@@ -722,6 +722,11 @@ def test_streamed_commands_grow_by_the_stations_seen(tmp_path, model_txt, capsys
         capsys.readouterr()
     growth = (peaks[1] - peaks[0]) / 60_000
     assert growth <= 60, f"{growth:.0f} B/row"
+    # At 20,000 rows, blocks of 1,024 rows, each converted whole, peak at
+    # about 2.39 MB (oldeman) and 2.40 MB (recommend).  Blocks of 4,096
+    # rows converted in chunks of 1,024, which copied each value twice,
+    # peaked at 3.54 and 3.66 MB.
+    assert peaks[0] <= 3.0e6, f"{peaks[0] / 1e6:.2f} MB"
 
 
 def _output_argv(command, rain_csv, model_txt, out):

@@ -656,13 +656,13 @@ def _assert_parses_as_the_reference(text, labeled):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_table_parser_matches_the_reference_parser(data):
-    """Mutated files, some longer than one chunk of rows, give the same
+    """Mutated files, some longer than one block of rows, give the same
     records, labels and Oldeman codes as the line-by-line reference, or
     the identical DataError text, under each missing-data policy."""
     labeled = data.draw(st.booleans())
     lines = _long_lines(labeled, data.draw(st.integers(1, 9)))
     text = "\n".join(_mutate(data, lines)) + "\n"
-    with mock.patch.object(dataset_module, "_CHUNK_ROWS",
+    with mock.patch.object(dataset_module, "_LABEL_ROWS",
                            data.draw(st.sampled_from([1, 2, 3, 4096]))):
         _assert_parses_as_the_reference(text, labeled)
 
@@ -670,19 +670,19 @@ def test_table_parser_matches_the_reference_parser(data):
 _ROW = "300,280,310,250,220,180,90,40,60,120,210,260"
 
 
-@pytest.mark.parametrize("chunk", [2, 4096])
+@pytest.mark.parametrize("block_rows", [2, 4096])
 @pytest.mark.parametrize("later, message", [
     ("X9,R,2013,1,2,3", "expected 15 fields"),
     (" ,R,2013," + _ROW, "empty station id"),
     ("X9,R,20x3," + _ROW, "non-integer year"),
     ("X0,R,2013," + _ROW, "duplicate station-year"),
 ])
-def test_first_error_in_file_order_wins(chunk, later, message):
+def test_first_error_in_file_order_wins(block_rows, later, message):
     # Line 3 has a bad cell and line 4 a structural error, in the same
-    # chunk of rows (4096 a chunk) or in the next one (2 a chunk).
+    # block of rows (4096 a block) or in the next one (2 a block).
     bad_cell = "X1,R,2013,300,280,abc,-1," + _ROW.split(",", 4)[4]
     head = [HEADER, "X0,R,2013," + _ROW]
-    with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk):
+    with mock.patch.object(dataset_module, "_LABEL_ROWS", block_rows):
         for lines, expected in (
                 (head + [bad_cell, later], "line 3: non-numeric rainfall 'abc'"),
                 (head + [later, bad_cell], f"line 3: {message}")):
@@ -692,14 +692,14 @@ def test_first_error_in_file_order_wins(chunk, later, message):
             _assert_parses_as_the_reference(text, labeled=False)
 
 
-@pytest.mark.parametrize("chunk", [2, 4096])
-def test_a_bad_cell_beats_a_duplicate_whose_first_row_is_in_an_earlier_chunk(chunk):
-    # X0's first row is in the first chunk of two rows (of 4096: the same
+@pytest.mark.parametrize("block_rows", [2, 4096])
+def test_a_bad_cell_beats_a_duplicate_whose_first_row_is_in_an_earlier_chunk(block_rows):
+    # X0's first row is in the first block of two rows (of 4096: the same
     # one); a bad cell and the duplicate, on lines 4 and 5 in either
     # order, share the second.
     bad_cell = "X2,R,2013,300,abc," + _ROW.split(",", 2)[2]
     lines = [HEADER, "X0,R,2013," + _ROW, "X1,R,2013," + _ROW]
-    with mock.patch.object(dataset_module, "_CHUNK_ROWS", chunk):
+    with mock.patch.object(dataset_module, "_LABEL_ROWS", block_rows):
         for rows, expected in (
                 ([bad_cell, "X0,R,2013," + _ROW],
                  "line 4: non-numeric rainfall 'abc' for station 'X2' month feb"),
@@ -714,11 +714,11 @@ def test_a_bad_cell_beats_a_duplicate_whose_first_row_is_in_an_earlier_chunk(chu
 
 @pytest.mark.parametrize("bad_cell", [False, True])
 def test_a_duplicate_names_a_first_line_chunks_and_blocks_back(bad_cell):
-    # The first X/1999 row is in the first chunk of rows and the first
+    # The first X/1999 row is in the first block of rows and the first
     # block of bytes, after X/1998, and its duplicate some 20,000 rows on,
     # with comment and blank lines between, so rows and line numbers
-    # differ.  A bad cell one line before the duplicate, in its chunk,
-    # comes first.
+    # differ.  A bad cell one line before the duplicate, in its block of
+    # rows, comes first.
     lines = [HEADER, "X,R,1998," + _ROW, "# notes", "", "X,R,1999," + _ROW]
     for k in range(20_000):
         lines.append(f"S{k},R,2013," + _ROW)
@@ -731,7 +731,7 @@ def test_a_duplicate_names_a_first_line_chunks_and_blocks_back(bad_cell):
     first = data.index(b"X,R,1999")
     assert first < dataset_module._BLOCK_BYTES < data.rindex(b"X,R,1999")
     rows_before = sum("," in line for line in lines[1:-1])
-    assert rows_before > 2 * dataset_module._CHUNK_ROWS
+    assert rows_before > 2 * dataset_module._LABEL_ROWS
     if bad_cell:
         expected = (f"line {len(lines) - 1}: negative or non-finite rainfall -2 "
                     "for station 'Y' month feb")
@@ -795,17 +795,17 @@ def test_within_a_line_cells_go_by_month_then_the_label(label, cells, expected):
 
 @pytest.mark.parametrize("labeled", [False, True])
 def test_files_longer_than_a_chunk_match_the_reference(labeled):
-    n_rows = dataset_module._CHUNK_ROWS + 5
+    n_rows = dataset_module._LABEL_ROWS + 5
     lines = _long_lines(labeled, n_rows)
     _assert_parses_as_the_reference("\n".join(lines) + "\n", labeled)
-    # A bad cell in the last row of the first chunk, and a field count
-    # error on the next line: the cell comes first.
+    # A bad cell in the last row of the first block, and a field count
+    # error on the next line, in the second: the cell comes first.
     row_lines = [i for i, line in enumerate(lines) if "," in line][1:]
-    at = row_lines[dataset_module._CHUNK_ROWS - 1]
+    at = row_lines[dataset_module._LABEL_ROWS - 1]
     cells = lines[at].split(",")
     cells[9] = "-1"
     lines[at] = ",".join(cells)
-    lines[row_lines[dataset_module._CHUNK_ROWS]] = "Z,R,2013,1"
+    lines[row_lines[dataset_module._LABEL_ROWS]] = "Z,R,2013,1"
     text = "\n".join(lines) + "\n"
     with pytest.raises(DataError, match=f"line {at + 1}: negative"):
         (parse_labeled_file if labeled else parse_rainfall_file)(text)
@@ -1018,12 +1018,13 @@ def _traced_parse(text):
 
 # parse_table's peak allocation beyond the text it is given, in bytes per
 # row, on 20,000 rows: 800 stations of 25 years, or 20,000 stations of
-# one year.  It measures about 335 and 400: the table (133, or 185 when no
-# two rows share a station), the stations seen per year (about 35), one
-# chunk of cells and the block of 4,096 rows being copied into the table
-# (about 20 spread over 20,000 rows).  A parse holding a list of every
-# line, a key object per row or a second copy of the matrix took about
-# 690 on both.
+# one year.  It measures about 314 and 381: the table (133, or 185 when no
+# two rows share a station), the stations seen per year (about 35), and
+# one block of 1,024 rows, its cell strings and the matrix being copied
+# into the table (about 60 spread over 20,000 rows).  Blocks of 4,096 rows
+# converted in chunks of 1,024 cost 20 more: 334 and 400.  A parse
+# holding a list of every line, a key object per row or a second copy of
+# the matrix took about 690 on both.
 @pytest.mark.parametrize("n_stations, bound", [(800, 350), (20_000, 420)])
 def test_parse_memory_is_the_table_and_one_chunk(n_stations, bound):
     table, _current, peak = _traced_parse(memory_text(n_stations))
